@@ -332,7 +332,8 @@ def build_star(
 
     transition = np.zeros((m_size, alphabet, m_size))
     for s in range(alphabet):
-        transition[0, s, 0] = 1.0 - col_total[s]
+        # Weights summing to 1 plus an ulp would leave -1e-16 here.
+        transition[0, s, 0] = max(0.0, 1.0 - col_total[s])
         for i in range(n):
             transition[0, s, _branch_state(i, 1, lam)] += S[i, s]
     for i in range(n):

@@ -19,7 +19,6 @@ from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse.csgraph import connected_components
 
 from .automata import UpdatingMechanism, expected_transition_matrix
 from .errors import SolverError
@@ -29,6 +28,9 @@ from .signals import SignalModel
 CHAIN_ROW_TOL = 1e-9
 #: A computed occupancy vector must satisfy ``pi Q = pi`` this tightly.
 RESIDUAL_TOL = 1e-8
+#: The plain back-substitution is trusted while every partial occupancy
+#: stays within ``[1/PLAIN_RANGE, PLAIN_RANGE]`` of the first state's.
+PLAIN_RANGE = 1e100
 
 
 @dataclass(frozen=True)
@@ -140,45 +142,95 @@ def _check_kernel(q: np.ndarray) -> np.ndarray:
     return q
 
 
+def _strong_components(n: int, indptr: list, succ: list):
+    """Label every state with its strongly connected component.
+
+    Iterative Tarjan over the successor lists ``succ[indptr[v]:indptr[v+1]]``;
+    returns ``(n_components, labels)``.
+    """
+    index = [-1] * n
+    low = [0] * n
+    on_stack = [False] * n
+    labels = [0] * n
+    stack = []
+    counter = n_comp = 0
+    for root in range(n):
+        if index[root] >= 0:
+            continue
+        index[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        on_stack[root] = True
+        work = [[root, indptr[root]]]
+        while work:
+            frame = work[-1]
+            v, i = frame
+            if i < indptr[v + 1]:
+                frame[1] = i + 1
+                u = succ[i]
+                if index[u] < 0:
+                    index[u] = low[u] = counter
+                    counter += 1
+                    stack.append(u)
+                    on_stack[u] = True
+                    work.append([u, indptr[u]])
+                elif on_stack[u] and index[u] < low[v]:
+                    low[v] = index[u]
+                continue
+            work.pop()
+            if work and low[v] < low[work[-1][0]]:
+                low[work[-1][0]] = low[v]
+            if low[v] == index[v]:
+                while True:
+                    u = stack.pop()
+                    on_stack[u] = False
+                    labels[u] = n_comp
+                    if u == v:
+                        break
+                n_comp += 1
+    return n_comp, np.asarray(labels, dtype=np.int64)
+
+
 def recurrent_classes(q: np.ndarray):
     """Split states into recurrent classes and transient states.
 
     Returns ``(classes, transient)`` where ``classes`` is a list of
     sorted index lists (the closed communicating classes, in order of
     their smallest member) and ``transient`` is a sorted list of the
-    remaining states.
+    remaining states.  A strongly connected component is closed when no
+    edge of ``q`` leaves it.
     """
     q = _check_kernel(q)
-    support = q > 0.0
-    n_comp, labels = connected_components(support, directed=True, connection="strong")
+    n = q.shape[0]
+    rows, cols = np.nonzero(q > 0.0)
+    indptr = np.searchsorted(rows, np.arange(n + 1))
+    n_comp, labels = _strong_components(n, indptr.tolist(), cols.tolist())
     closed = np.ones(n_comp, dtype=bool)
-    rows, cols = np.nonzero(support)
-    for r, c in zip(rows, cols):
-        if labels[r] != labels[c]:
-            closed[labels[r]] = False
-    classes = []
-    transient = []
-    for comp in range(n_comp):
-        members = np.flatnonzero(labels == comp)
-        if closed[comp]:
-            classes.append([int(i) for i in members])
-        else:
-            transient.extend(int(i) for i in members)
+    closed[labels[rows[labels[rows] != labels[cols]]]] = False
+    classes = [np.flatnonzero(labels == c).tolist() for c in np.flatnonzero(closed)]
     classes.sort(key=lambda c: c[0])
-    transient.sort()
+    transient = np.flatnonzero(~closed[labels]).tolist()
     return classes, transient
 
 
 def _stationary_on_class(q: np.ndarray, members) -> np.ndarray:
     """Stationary vector of ``q`` restricted to one closed class.
 
-    Uses state-elimination (the subtraction-free Gaussian variant known
-    from the Markov chain literature) rather than a plain linear solve:
+    Uses state-elimination (the subtraction-free Gaussian variant of
+    Grassmann, Taksar & Heyman) rather than a plain linear solve:
     occupancies of strongly biased chains span many orders of magnitude,
     and elimination keeps componentwise relative accuracy where a
     replaced-row solve returns small negative garbage.
+
+    States are eliminated last to first.  Eliminating state ``j`` adds
+    the outer product of its inflow column and outflow row to the states
+    before it; only the nonzero rows and columns take part, so a sparse
+    chain (a star, eliminated tip-inward) costs time per pivot in its
+    fill-in rather than in ``j**2``.  A pivot with at least half its
+    block nonzero updates the whole block, which is faster than fancy
+    indexing and adds the same values.
     """
-    a = q[np.ix_(members, members)].copy()
+    a = q[np.ix_(members, members)]
     k = len(members)
     for j in range(k - 1, 0, -1):
         s = a[j, :j].sum()
@@ -186,14 +238,53 @@ def _stationary_on_class(q: np.ndarray, members) -> np.ndarray:
             raise SolverError(
                 f"class member {members[j]} cannot reach the rest of its class"
             )
-        a[:j, j] /= s
-        a[:j, :j] += np.outer(a[:j, j], a[j, :j])
+        inflow = a[:j, j]
+        inflow /= s
+        outflow = a[j, :j]
+        if 2 * np.count_nonzero(inflow) * np.count_nonzero(outflow) >= j * j:
+            a[:j, :j] += inflow[:, None] * outflow
+        else:
+            rows = inflow.nonzero()[0][:, None]
+            cols = outflow.nonzero()[0]
+            a[rows, cols] += inflow[rows] * outflow[cols]
+    return _back_substitute(a)
+
+
+def _back_substitute(a: np.ndarray) -> np.ndarray:
+    """Occupancy from an eliminated class: ``pi[j] = pi[:j] @ a[:j, j]``.
+
+    Runs from ``pi[0] = 1``.  Along a long, strongly drifting branch the
+    partial entries leave the float range, and an entry flushed to zero
+    would zero every state fed from it, however large their true mass.
+    So once a partial entry leaves ``[1/PLAIN_RANGE, PLAIN_RANGE]`` the
+    pass restarts with a binary exponent kept beside each entry; the
+    entries are only brought to a common scale at the end, where what
+    underflows lies below the smallest normal double after normalisation.
+    """
+    k = a.shape[0]
     pi = np.empty(k)
     pi[0] = 1.0
     for j in range(1, k):
         pi[j] = pi[:j] @ a[:j, j]
-    pi /= pi.sum()
-    return pi
+        if not 1.0 / PLAIN_RANGE <= pi[j] <= PLAIN_RANGE:
+            break
+    else:
+        return pi / pi.sum()
+    mantissa = np.empty(k)
+    exponent = np.zeros(k, dtype=np.int64)
+    mantissa[0] = 1.0
+    for j in range(1, k):
+        src = a[:j, j].nonzero()[0]
+        if not src.size:
+            raise SolverError(
+                "a class member cannot be reached from the rest of its class"
+            )
+        top = exponent[src].max()
+        scaled = np.ldexp(mantissa[src], exponent[src] - top)
+        mantissa[j], shift = np.frexp(scaled @ a[src, j])
+        exponent[j] = top + shift
+    pi = np.ldexp(mantissa, exponent - exponent.max())
+    return pi / pi.sum()
 
 
 def _absorption_weights(q: np.ndarray, classes, transient, initial: int) -> np.ndarray:
@@ -253,8 +344,17 @@ def stationary(q: np.ndarray, initial: int = 0) -> np.ndarray:
 
 
 def _check_residual(pi: np.ndarray, q: np.ndarray) -> None:
+    """Reject an occupancy that is not finite, not a distribution, or not fixed.
+
+    Written as ``not value <= tol`` so that a NaN fails every comparison.
+    """
+    if not np.isfinite(pi).all():
+        raise SolverError("occupancy has non-finite entries")
+    gap = abs(float(pi.sum()) - 1.0)
+    if not gap <= RESIDUAL_TOL:
+        raise SolverError("occupancy does not sum to 1", residual=gap)
     residual = float(np.abs(pi @ q - pi).max())
-    if residual > RESIDUAL_TOL:
+    if not residual <= RESIDUAL_TOL:
         raise SolverError("occupancy failed the fixed-point check", residual=residual)
 
 

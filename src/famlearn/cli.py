@@ -207,7 +207,9 @@ def _atomic_write(path: Path, data: str) -> None:
 
 
 def write_json(path: Path, obj) -> None:
-    _atomic_write(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    # NaN and Infinity are not JSON: refuse them (exit 1) rather than write them.
+    text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
+    _atomic_write(path, text + "\n")
 
 
 def write_csv(path: Path, header, rows) -> None:

@@ -79,7 +79,8 @@ def spread_upper_bound(model: SignalModel, m_size: int, w: int, w2: int) -> floa
 
     One signal can shift the per-state likelihood ratio by at most the
     largest one-shot density ratio in each direction, and a memory of
-    size ``m_size`` can chain at most ``m_size - 1`` such shifts.
+    size ``m_size`` can chain at most ``m_size - 1`` such shifts.  A cap
+    past the float range is ``inf``.
     """
     if w == w2:
         raise ValueError("spread bound needs two distinct states")
@@ -87,7 +88,10 @@ def spread_upper_bound(model: SignalModel, m_size: int, w: int, w2: int) -> floa
         raise ValueError(f"m_size must be >= 1, got {m_size}")
     forward = sup_likelihood_ratio(model, w, w2)
     backward = sup_likelihood_ratio(model, w2, w)
-    return float((forward * backward) ** (m_size - 1))
+    try:
+        return float((forward * backward) ** (m_size - 1))
+    except OverflowError:
+        return math.inf
 
 
 def tradeoff_floor(spread_cap: float, accuracy: float) -> float:

@@ -2,7 +2,9 @@
 
 Nothing in here reuses the package's solvers: occupancies come from
 brute-force power averaging, ladder chains from exact rational
-arithmetic, and optimal pattern losses from a generic numeric optimizer.
+arithmetic, star occupancies from the geometric form in ``mpmath``,
+class splits from ``networkx``'s condensation, and optimal pattern
+losses from a generic numeric optimizer.
 Expected values in the test modules were produced by these functions
 (and are frozen there as literals); the cheap ones are also called
 directly inside tests to cross-check the fast implementations.
@@ -13,6 +15,8 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product
 
+import mpmath
+import networkx as nx
 import numpy as np
 from scipy.optimize import minimize
 
@@ -134,3 +138,66 @@ def exact_ladder_occupancy(up: Fraction, m_size: int) -> list[Fraction]:
     weights = [ratio**k for k in range(m_size)]
     total = sum(weights)
     return [x / total for x in weights]
+
+
+def star_occupancy_mp(mass, delta: float, lam: int, w: int, digits: int = 40) -> np.ndarray:
+    """Star occupancy under world ``w`` from its geometric form, in mpmath.
+
+    Lottery ``w2`` weights signal ``s`` by ``mass[w2][s] / ||mass[w2]||``
+    (a common scale cancels from every odds), and branch ``w2`` holds
+    ``odds**k`` times the hub's mass at level ``k``, with odds
+    ``delta * F(w2) / sum_{w3 != w2} F(w3)``.  Order: hub, then each
+    branch inward to tip.  Entries below the float range round to
+    subnormals or zero only in the final conversion.
+    """
+    with mpmath.workdps(digits):
+        rows = [[mpmath.mpf(x) for x in row] for row in mass]
+        norms = [mpmath.sqrt(mpmath.fsum(x * x for x in row)) for row in rows]
+        units = [[x / norm for x in row] for row, norm in zip(rows, norms)]
+        confirm = [mpmath.fsum(a * b for a, b in zip(rows[w], unit)) for unit in units]
+        total = mpmath.fsum(confirm)
+        occ = [mpmath.mpf(1)]
+        for own in confirm:
+            odds = mpmath.mpf(delta) * own / (total - own)
+            occ.extend(odds**k for k in range(1, lam + 1))
+        norm = mpmath.fsum(occ)
+        return np.array([float(x / norm) for x in occ])
+
+
+def dense_gth(kernel: np.ndarray) -> np.ndarray:
+    """Stationary vector of an irreducible kernel by the textbook GTH loop.
+
+    Every pivot updates its whole leading block and the back-substitution
+    never rescales, so wherever the sparse solver's partial entries stay
+    in range it must reproduce this bit for bit: zeros add nothing.
+    """
+    a = np.array(kernel, dtype=np.float64)
+    k = a.shape[0]
+    for j in range(k - 1, 0, -1):
+        a[:j, j] /= a[j, :j].sum()
+        a[:j, :j] += np.outer(a[:j, j], a[j, :j])
+    pi = np.empty(k)
+    pi[0] = 1.0
+    for j in range(1, k):
+        pi[j] = pi[:j] @ a[:j, j]
+    return pi / pi.sum()
+
+
+def recurrent_classes_nx(kernel: np.ndarray):
+    """Closed classes and transient states from networkx's condensation.
+
+    Same contract as ``famlearn.recurrent_classes``: classes as sorted
+    lists ordered by smallest member, transient states sorted.
+    """
+    graph = nx.DiGraph()
+    graph.add_nodes_from(range(kernel.shape[0]))
+    graph.add_edges_from(zip(*np.nonzero(np.asarray(kernel) > 0.0)))
+    dag = nx.condensation(graph)
+    classes, transient = [], []
+    for node in dag.nodes:
+        members = sorted(int(m) for m in dag.nodes[node]["members"])
+        if dag.out_degree(node) == 0:
+            classes.append(members)
+        else:
+            transient.extend(members)
+    return sorted(classes), sorted(transient)

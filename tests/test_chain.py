@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from famlearn import chain
 from famlearn import (
     Problem,
     SignalModel,
@@ -94,6 +95,41 @@ def test_recurrent_classes_transient_cycle():
     assert recurrent_classes(q) == ([[2, 3]], [0, 1])
 
 
+def _random_support_kernel(rng, n, density):
+    """Sparse kernel with random support; every state has one forced exit."""
+    support = rng.random((n, n)) < density
+    support[np.arange(n), rng.integers(0, n, size=n)] = True
+    q = support * rng.uniform(0.1, 1.0, size=(n, n))
+    return q / q.sum(axis=1, keepdims=True)
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_recurrent_classes_match_condensation_oracle(seed):
+    rng = np.random.default_rng(seed)
+    q = _random_support_kernel(rng, int(rng.integers(1, 60)), rng.uniform(0.0, 0.12))
+    assert recurrent_classes(q) == oracles.recurrent_classes_nx(q)
+
+
+def test_recurrent_classes_oracle_cases_are_reducible():
+    """The seeds above cover several closed classes and transient states."""
+    shapes = []
+    for seed in range(30):
+        rng = np.random.default_rng(seed)
+        q = _random_support_kernel(rng, int(rng.integers(1, 60)), rng.uniform(0.0, 0.12))
+        classes, transient = recurrent_classes(q)
+        shapes.append((len(classes), len(transient)))
+    assert any(c >= 3 and t >= 10 for c, t in shapes)
+    assert any(c == 1 and t == 0 for c, t in shapes)
+
+
+def test_recurrent_classes_long_path_needs_no_recursion():
+    n = 3000
+    q = np.zeros((n, n))
+    q[np.arange(n - 1), np.arange(1, n)] = 1.0
+    q[n - 1, n - 1] = 1.0
+    assert recurrent_classes(q) == ([[n - 1]], list(range(n - 1)))
+
+
 # --- stationary solver ------------------------------------------------------
 
 
@@ -155,6 +191,50 @@ def test_stationary_matches_power_averaging(size, seed):
     np.testing.assert_allclose(
         stationary(q), oracles.cesaro_occupancy(q, 0), atol=1e-9
     )
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_sparse_elimination_matches_dense_loop_bitwise(seed):
+    """Skipping zero rows and columns must not change a single bit."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 80))
+    q = _random_support_kernel(rng, n, rng.uniform(0.0, 0.3))
+    q[np.arange(n), (np.arange(n) + 1) % n] += 0.5  # a ring: irreducible
+    q /= q.sum(axis=1, keepdims=True)
+    assert stationary(q).tolist() == oracles.dense_gth(q).tolist()
+
+
+@pytest.mark.parametrize("lam", [430, 500, 1000])
+def test_deep_star_matches_high_precision_reference(lam):
+    """Occupancies spanning far more than the float range stay exact."""
+    mass = [[0.6, 0.4], [0.4, 0.6]]
+    model = SignalModel.from_rows(mass)
+    star = build_star(model, lam=lam, delta=5.0)
+    tiny = np.finfo(np.float64).tiny
+    for w in range(2):
+        pi = stationary(expected_transition_matrix(star, model, w))
+        ref = oracles.star_occupancy_mp(mass, 5.0, lam, w)
+        assert np.isfinite(pi).all()
+        normal = ref >= tiny
+        np.testing.assert_allclose(pi[normal], ref[normal], rtol=1e-9, atol=0.0)
+        assert np.abs(pi[~normal] - ref[~normal]).max(initial=0.0) <= tiny
+    assert np.isfinite(utility_loss(uniform_problem(model), star))
+
+
+def test_residual_gate_accepts_the_stationary_vector():
+    q = np.array([[0.9, 0.1], [0.2, 0.8]])
+    chain._check_residual(np.array([2 / 3, 1 / 3]), q)
+
+
+@pytest.mark.parametrize(
+    "pi",
+    [np.full(2, np.nan), np.zeros(2), np.array([np.inf, 0.0])],
+    ids=["nan", "zero", "inf"],
+)
+def test_residual_gate_rejects_vectors_that_are_not_distributions(pi):
+    q = np.array([[0.9, 0.1], [0.2, 0.8]])
+    with pytest.raises(SolverError):
+        chain._check_residual(pi, q)
 
 
 def test_power_averaging_oracle_stays_stochastic():

@@ -1,15 +1,18 @@
 """End-to-end runs of the batch commands: exit codes, artifacts, determinism."""
 
 import json
+import os
 import subprocess
 import sys
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
 
-from famlearn import SignalModel, pair_commitment_problem
+import famlearn
+from famlearn import SignalModel, cli, pair_commitment_problem
 from famlearn.cli import main
 
 BINARY_JSON = SignalModel.from_rows([[0.8, 0.2], [0.2, 0.8]]).to_json()
@@ -117,6 +120,48 @@ def test_eval_star_condition_failure_is_domain_exit(tmp_path):
         },
     )
     assert run("eval", spec, tmp_path) == 1
+
+
+def test_eval_star_with_spread_bound_past_float_range(tmp_path):
+    spec = write_spec(
+        tmp_path,
+        {
+            "problem": {"model": BINARY_JSON},
+            "mechanism": {
+                "blueprint": {"family": "star", "params": {"lam": 128, "delta": 5.0}}
+            },
+        },
+    )
+    assert run("eval", spec, tmp_path) == 0
+    payload = json.loads((tmp_path / "eval.json").read_text())
+    check_schema(payload, "eval")
+    assert payload["diagnostics"]["spread_bounds"] == [[1.0, None], [None, 1.0]]
+
+
+def test_non_finite_artifact_is_domain_exit_and_writes_nothing(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "profile_utility", lambda *args: float("nan"))
+    spec = write_spec(
+        tmp_path,
+        {
+            "problem": {"model": LADDER_JSON},
+            "mechanism": {"blueprint": {"family": "line", "params": {"m_size": 4}}},
+        },
+    )
+    out = tmp_path / "out"
+    assert run("eval", spec, out) == 1
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_importing_the_cli_does_not_load_scipy():
+    src = str(Path(famlearn.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, famlearn.cli; print('scipy' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_eval_mechanism_file_reference(tmp_path):

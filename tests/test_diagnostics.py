@@ -79,6 +79,12 @@ def test_spread_bound_grows_with_memory():
     assert b4 > b2
 
 
+def test_spread_bound_past_float_range_is_infinite():
+    model = SignalModel.from_rows([[0.8, 0.2], [0.2, 0.8]])
+    assert spread_upper_bound(model, 256, 0, 1) == pytest.approx(16.0**255, rel=1e-12)
+    assert spread_upper_bound(model, 257, 0, 1) == math.inf
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.integers(min_value=0, max_value=100_000))
 def test_spread_never_beats_bound(seed):
@@ -232,6 +238,21 @@ def test_star_closed_form_matches_solver_binary():
         np.testing.assert_allclose(
             star_occupancy_closed_form(model, None, 3, 5.0, w),
             stationary(q),
+            atol=1e-12,
+        )
+
+
+@pytest.mark.parametrize("p", [0.7467, 0.5519])
+def test_star_builds_when_lottery_weights_round_past_one(p):
+    """Weights summing to 1 plus an ulp leave the hub no negative stay-put."""
+    model = SignalModel.from_rows([[p, 1 - p], [1 - p, p]])
+    star = build_star(model, lam=4, delta=5.0)
+    assert (star.transition >= 0.0).all()
+    profile = occupancy_profile(uniform_problem(model), star)
+    for w in range(2):
+        np.testing.assert_allclose(
+            profile.occupancy[w],
+            star_occupancy_closed_form(model, None, 4, 5.0, w),
             atol=1e-12,
         )
 
