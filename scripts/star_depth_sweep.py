@@ -31,7 +31,7 @@ def closed_form_loss(delta: float, lam: int, decision: np.ndarray) -> float:
     total = 0.0
     for w in range(MODEL.n_states):
         occ = star_occupancy_closed_form(MODEL, None, lam, delta, w)
-        total += 0.5 * (1.0 - occ[decision == w].sum())
+        total += 0.5 * occ[decision != w].sum()
     return total
 
 

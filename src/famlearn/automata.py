@@ -173,21 +173,6 @@ def expected_transition_matrix(
     return np.einsum("s,msn->mn", model.mass[w], mech.transition)
 
 
-def step(mech: UpdatingMechanism, m: int, s: int, rng: np.random.Generator):
-    """One period: act in ``m``, then transit on signal ``s``.
-
-    Returns ``(action, next_memory_state)``; the action is the one taken
-    *before* the update, matching the within-period timeline.
-    """
-    if not 0 <= m < mech.m_size:
-        raise ValueError(f"memory state {m} out of range")
-    if not 0 <= s < mech.alphabet_size:
-        raise ValueError(f"signal {s} out of range")
-    action = int(mech.decision[m])
-    nxt = int(rng.choice(mech.m_size, p=mech.transition[m, s]))
-    return action, nxt
-
-
 # ---------------------------------------------------------------------------
 # line (birth-death ladder) for two states of the world
 # ---------------------------------------------------------------------------

@@ -70,6 +70,11 @@ class Problem:
         return self.model.n_states
 
     @property
+    def stakes(self) -> np.ndarray:
+        """What a right action earns in each state, weighted: ``u_w p_w``."""
+        return self.utilities * self.prior
+
+    @property
     def total_level(self) -> float:
         """Payoff of an agent who always guesses right: ``sum_w u_w p_w``."""
         return float(self.utilities @ self.prior)
@@ -288,7 +293,13 @@ def _back_substitute(a: np.ndarray) -> np.ndarray:
 
 
 def _absorption_weights(q: np.ndarray, classes, transient, initial: int) -> np.ndarray:
-    """Probability of ending in each recurrent class, from ``initial``."""
+    """Probability of ending in each recurrent class, from ``initial``.
+
+    A single class takes all the mass without a solve; nearly closed
+    transient states would make that solve ill-conditioned.
+    """
+    if len(classes) == 1:
+        return np.ones(1)
     weights = np.zeros(len(classes))
     for c, members in enumerate(classes):
         if initial in members:
@@ -315,11 +326,11 @@ def _absorption_weights(q: np.ndarray, classes, transient, initial: int) -> np.n
 def stationary(q: np.ndarray, initial: int = 0) -> np.ndarray:
     """Long-run occupancy of the chain ``q`` started at ``initial``.
 
-    For a unichain this is the unique stationary distribution.  When
-    several closed classes exist, each is weighted by the probability of
-    being absorbed into it from the initial state, so the result is the
-    Cesaro limit of the empirical occupancy, not a solution of a single
-    eigenproblem.
+    For a unichain this is the unique stationary distribution, with zeros
+    on the transient states.  When several closed classes exist, each is
+    weighted by the probability of being absorbed into it from the
+    initial state, so the result is the Cesaro limit of the empirical
+    occupancy, not a solution of a single eigenproblem.
     """
     q = _check_kernel(q)
     n = q.shape[0]
@@ -330,10 +341,6 @@ def stationary(q: np.ndarray, initial: int = 0) -> np.ndarray:
         _check_residual(pi, q)
         return pi
     classes, transient = recurrent_classes(q)
-    if len(classes) == 1 and not transient:
-        pi = _stationary_on_class(q, classes[0])
-        _check_residual(pi, q)
-        return pi
     weights = _absorption_weights(q, classes, transient, initial)
     pi = np.zeros(n)
     for weight, members in zip(weights, classes):
@@ -367,6 +374,25 @@ def occupancy_profile(problem: Problem, mech: UpdatingMechanism) -> StationaryPr
     return StationaryProfile(occupancy=np.vstack(rows))
 
 
+def _price(stakes: np.ndarray, occupancy: np.ndarray, decision=None):
+    """Utility and loss of decisions under one occupancy profile or a stack.
+
+    ``occupancy`` is ``(..., states, memory)``, ``decision`` ``(..., memory)``
+    and by default the best action per memory state (see
+    :func:`optimal_decisions`).  Returns ``(utility, loss, decision)``.  The
+    loss sums the stake-weighted occupancy decided wrongly instead of
+    subtracting from the total, so a loss far below the total's rounding
+    error keeps its relative accuracy.
+    """
+    weighted = stakes[:, None] * occupancy
+    if decision is None:
+        decision = weighted.argmax(axis=-2)
+    right = np.asarray(decision)[..., None, :] == np.arange(stakes.size)[:, None]
+    utility = weighted.sum(axis=(-2, -1), where=right)
+    loss = weighted.sum(axis=(-2, -1), where=~right)
+    return utility, loss, decision
+
+
 def optimal_decisions(problem: Problem, profile: StationaryProfile) -> np.ndarray:
     """Best action per memory state given the occupancy profile.
 
@@ -374,31 +400,25 @@ def optimal_decisions(problem: Problem, profile: StationaryProfile) -> np.ndarra
     ``utilities[w] * prior[w] * occupancy[w, m]``; ties break toward the
     lowest state index.
     """
-    score = (problem.utilities * problem.prior)[:, None] * profile.occupancy
-    return np.argmax(score, axis=0).astype(np.int64)
+    return _price(problem.stakes, profile.occupancy)[2].astype(np.int64)
 
 
 def profile_utility(
     problem: Problem, profile: StationaryProfile, decision: np.ndarray
 ) -> float:
     """Expected long-run payoff of a decision rule under the profile."""
-    decision = np.asarray(decision)
-    total = 0.0
-    for w in range(problem.n_states):
-        own = profile.occupancy[w, decision == w].sum()
-        total += problem.utilities[w] * problem.prior[w] * own
-    return float(total)
+    return float(_price(problem.stakes, profile.occupancy, decision)[0])
 
 
 def asymptotic_utility(problem: Problem, mech: UpdatingMechanism) -> float:
     """Long-run expected payoff of the mechanism with its own decisions."""
-    profile = occupancy_profile(problem, mech)
-    return profile_utility(problem, profile, mech.decision)
+    return profile_utility(problem, occupancy_profile(problem, mech), mech.decision)
 
 
 def utility_loss(problem: Problem, mech: UpdatingMechanism) -> float:
     """Shortfall against an agent who always matches the state."""
-    return problem.total_level - asymptotic_utility(problem, mech)
+    profile = occupancy_profile(problem, mech)
+    return float(_price(problem.stakes, profile.occupancy, mech.decision)[1])
 
 
 # ---------------------------------------------------------------------------

@@ -35,13 +35,7 @@ from .automata import (
     UpdatingMechanism,
     build_from_blueprint,
 )
-from .chain import (
-    Problem,
-    disagreement_probability,
-    occupancy_profile,
-    profile_utility,
-    utility_loss,
-)
+from .chain import Problem, _price, disagreement_probability, occupancy_profile
 from .diagnostics import (
     diagnostics_report,
     pair_commitment_losses,
@@ -246,14 +240,13 @@ def cmd_eval(spec: ExperimentSpec, out: Path, seed: int, fmt: str) -> int:
     mech, model = spec.mechanism(spec.model_optional())
     problem = spec.problem_for(model)
     profile = occupancy_profile(problem, mech)
-    utility = profile_utility(problem, profile, mech.decision)
-    loss = problem.total_level - utility
-    report = diagnostics_report(problem, mech)
+    utility, loss, _ = _price(problem.stakes, profile.occupancy, mech.decision)
+    report = diagnostics_report(problem, mech, profile)
     write_json(
         out / "eval.json",
         {
-            "utility": utility,
-            "loss": loss,
+            "utility": float(utility),
+            "loss": float(loss),
             "occupancy": profile.to_json()["occupancy"],
             "diagnostics": report.to_json(),
         },
@@ -277,13 +270,13 @@ def _sweep_axis(spec: ExperimentSpec):
 
 def cmd_sweep(spec: ExperimentSpec, out: Path, seed: int, fmt: str) -> int:
     axis, values = _sweep_axis(spec)
-    rows = []
+    points = []
     if axis == "m":
         problem = spec.problem()
         budget = int(spec.raw.get("search", {}).get("budget", 10**6))
         for m in values:
             result = enumerate_deterministic(problem, int(m), budget=budget)
-            rows.append((int(m), result.loss, problem.total_level - result.loss))
+            points.append((int(m), result.mechanism))
     else:
         section = spec.raw.get("mechanism", {})
         if "blueprint" not in section:
@@ -296,8 +289,12 @@ def cmd_sweep(spec: ExperimentSpec, out: Path, seed: int, fmt: str) -> int:
             params[axis] = value
             blueprint = MechanismBlueprint(family=base.family, params=params)
             mech, _ = spec.mechanism_section({"blueprint": blueprint.to_json()}, model)
-            loss = utility_loss(problem, mech)
-            rows.append((value, loss, problem.total_level - loss))
+            points.append((value, mech))
+    rows = []
+    for value, mech in points:
+        profile = occupancy_profile(problem, mech)
+        utility, loss, _ = _price(problem.stakes, profile.occupancy, mech.decision)
+        rows.append((value, float(loss), float(utility)))
     if fmt == "json":
         path = out / "sweep.json"
         write_json(

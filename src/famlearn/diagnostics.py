@@ -26,7 +26,7 @@ from .automata import (
     _confirmation_matrix,
     check_star_condition,
 )
-from .chain import Problem, StationaryProfile, occupancy_profile
+from .chain import Problem, StationaryProfile
 from .signals import Lottery, SignalModel, confirmatory_lotteries, sup_likelihood_ratio
 
 #: Occupancy mass below which an action counts as abandoned.
@@ -147,7 +147,7 @@ def ignorance_predicate(
         raise ValueError(f"m_size must be >= 1, got {m_size}")
     if not 0 <= w < problem.n_states:
         raise ValueError(f"state {w} out of range")
-    stakes = problem.utilities * problem.prior
+    stakes = problem.stakes
     tilt = varsigma ** (2 * (m_size - 1))
     own = stakes[w]
     return bool(any(tilt * stakes[w2] / own > 1.0 for w2 in range(problem.n_states)))
@@ -218,11 +218,11 @@ class DiagnosticsReport:
 def diagnostics_report(
     problem: Problem,
     mech: UpdatingMechanism,
+    profile: StationaryProfile,
     tol: float = IGNORANCE_TOL,
     threshold: float = WORLD_RATIO_THRESHOLD,
 ) -> DiagnosticsReport:
-    """Evaluate every diagnostic for one mechanism on one problem."""
-    profile = occupancy_profile(problem, mech)
+    """Every diagnostic for one mechanism, from its solved occupancy profile."""
     n = problem.n_states
     ratios = likelihood_ratio_matrix(profile)
     spreads = np.full((n, n), np.nan)
@@ -281,10 +281,10 @@ def star_occupancy_closed_form(
     ratios = np.array(
         [delta * F[w, w2] / (totals[w] - F[w, w2]) for w2 in range(n)]
     )
-    occ = np.empty(n * lam + 1)
-    occ[0] = 1.0
-    for w2 in range(n):
-        occ[1 + w2 * lam : 1 + (w2 + 1) * lam] = ratios[w2] ** np.arange(1, lam + 1)
+    # ratio**lam leaves the float range on deep branches: work in logs.
+    levels = np.outer(np.log(ratios), np.arange(1, lam + 1))
+    logs = np.concatenate(([0.0], levels.ravel()))
+    occ = np.exp(logs - logs.max())
     return occ / occ.sum()
 
 

@@ -25,15 +25,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .automata import UpdatingMechanism
-from .chain import (
-    Problem,
-    occupancy_profile,
-    optimal_decisions,
-    profile_utility,
-)
+from .chain import Problem, _price, occupancy_profile
 from .errors import BudgetExceededError
 
-#: Enumeration refuses instances with more raw candidates than this.
+#: Enumeration refuses instances with more transition tables than this.
 DEFAULT_ENUMERATION_BUDGET = 1_000_000
 #: Doublings of the averaging operator; reaches horizon 2**this.
 _CESARO_DOUBLINGS = 60
@@ -130,9 +125,8 @@ def _exact_result(problem: Problem, transition: np.ndarray, trace) -> SearchResu
         initial_state=0,
     )
     profile = occupancy_profile(problem, probe)
-    decision = optimal_decisions(problem, profile)
+    _, loss, decision = _price(problem.stakes, profile.occupancy)
     mech = replace(probe, decision=decision)
-    loss = problem.total_level - profile_utility(problem, profile, decision)
     return SearchResult(mechanism=mech, loss=float(loss), trace=tuple(trace))
 
 
@@ -164,9 +158,12 @@ def _cesaro_rows(kernels: np.ndarray, initial: int) -> np.ndarray:
 
 
 def enumeration_count(problem: Problem, m_size: int) -> int:
-    """Raw size of the deterministic class: tables times decision rules."""
-    alphabet = problem.model.alphabet_size
-    return m_size ** (m_size * alphabet) * problem.n_states**m_size
+    """Deterministic transition tables that enumeration scores.
+
+    Decision rules are not enumerated: each table takes its pointwise
+    optimal rule.
+    """
+    return m_size ** (m_size * problem.model.alphabet_size)
 
 
 def enumerate_deterministic(
@@ -180,13 +177,12 @@ def enumerate_deterministic(
     is returned.  The result's ``epsilon_gap`` is 0 *relative to the
     deterministic class*; stochastic mechanisms may still do better.
     """
-    count = enumeration_count(problem, m_size)
-    if count > budget:
-        raise BudgetExceededError(count, budget)
+    n_tables = enumeration_count(problem, m_size)
+    if n_tables > budget:
+        raise BudgetExceededError(n_tables, budget)
     model = problem.model
     m, alphabet, n = m_size, model.alphabet_size, problem.n_states
 
-    n_tables = m ** (m * alphabet)
     flat = np.arange(n_tables)
     digits = np.empty((n_tables, m * alphabet), dtype=np.int64)
     for pos in range(m * alphabet - 1, -1, -1):
@@ -197,11 +193,7 @@ def enumerate_deterministic(
     onehot = (tables[..., None] == np.arange(m)).astype(np.float64)
     kernels = np.einsum("ws,tmsj->twmj", model.mass, onehot).reshape(-1, m, m)
     occ = _cesaro_rows(kernels, initial=0).reshape(n_tables, n, m)
-
-    stakes = problem.utilities * problem.prior
-    scores = stakes[None, :, None] * occ
-    utilities = scores.max(axis=1).sum(axis=1)
-    losses = problem.total_level - utilities
+    _, losses, _ = _price(problem.stakes, occ)
 
     shortlist = np.flatnonzero(losses <= losses.min() + 1e-9)
     best = None
@@ -238,8 +230,7 @@ def _fast_loss(problem: Problem, transition: np.ndarray, stakes, eye, unit) -> f
     if not (totals > 0.0).all():
         return math.inf
     pi /= totals
-    utility = (stakes[:, None] * pi).max(axis=0).sum()
-    loss = float(problem.total_level - utility)
+    loss = float(_price(stakes, pi)[1])
     return loss if math.isfinite(loss) else math.inf
 
 
@@ -260,7 +251,7 @@ def local_search(problem: Problem, config: SearchConfig) -> SearchResult:
     exactly on those corners, which a stochastic walk only approaches.
     """
     m, n = config.m_size, problem.n_states
-    stakes = problem.utilities * problem.prior
+    stakes = problem.stakes
     eye = np.broadcast_to(np.eye(m), (n, m, m)).copy()
     unit = np.zeros((n, m))
     unit[:, -1] = 1.0

@@ -19,7 +19,6 @@ from famlearn import (
     confirmatory_lotteries,
     expected_transition_matrix,
     minimal_star_delta,
-    step,
     symmetric_model,
 )
 
@@ -65,31 +64,6 @@ def test_mechanism_json_round_trip_is_exact():
     assert np.array_equal(clone.transition, mech.transition)
     assert np.array_equal(clone.decision, mech.decision)
     assert clone.initial_state == mech.initial_state
-
-
-def test_step_acts_before_moving():
-    line = build_line(LADDER_MODEL, 4)
-    rng = np.random.default_rng(0)
-    action, nxt = step(line, 1, 0, rng)
-    assert action == line.decision[1]
-    assert nxt == 2  # the up-set signal always moves one rung higher
-
-
-def test_step_range_checks():
-    line = build_line(LADDER_MODEL, 4)
-    rng = np.random.default_rng(0)
-    with pytest.raises(ValueError):
-        step(line, 4, 0, rng)
-    with pytest.raises(ValueError):
-        step(line, 0, 2, rng)
-
-
-def test_step_frequencies_match_row():
-    tr = np.array([[[0.25, 0.75], [0.5, 0.5]], [[1.0, 0.0], [0.0, 1.0]]])
-    mech = UpdatingMechanism(m_size=2, transition=tr, decision=np.array([0, 1]))
-    rng = np.random.default_rng(11)
-    hits = sum(step(mech, 0, 0, rng)[1] for _ in range(100_000))
-    assert hits / 100_000 == pytest.approx(0.75, abs=0.01)
 
 
 def test_expected_transition_matrix_mixes_signals():

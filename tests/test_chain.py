@@ -24,6 +24,7 @@ from famlearn import (
     optimal_decisions,
     profile_utility,
     recurrent_classes,
+    star_occupancy_closed_form,
     stationary,
     uniform_problem,
     utility_loss,
@@ -206,19 +207,26 @@ def test_sparse_elimination_matches_dense_loop_bitwise(seed):
 
 @pytest.mark.parametrize("lam", [430, 500, 1000])
 def test_deep_star_matches_high_precision_reference(lam):
-    """Occupancies spanning far more than the float range stay exact."""
+    """Occupancies spanning far more than the float range stay exact, and
+    so does the tiny loss they imply."""
     mass = [[0.6, 0.4], [0.4, 0.6]]
     model = SignalModel.from_rows(mass)
     star = build_star(model, lam=lam, delta=5.0)
+    problem = uniform_problem(model)
     tiny = np.finfo(np.float64).tiny
+    wrong = 0.0
     for w in range(2):
         pi = stationary(expected_transition_matrix(star, model, w))
+        closed = star_occupancy_closed_form(model, None, lam, 5.0, w)
         ref = oracles.star_occupancy_mp(mass, 5.0, lam, w)
-        assert np.isfinite(pi).all()
         normal = ref >= tiny
-        np.testing.assert_allclose(pi[normal], ref[normal], rtol=1e-9, atol=0.0)
-        assert np.abs(pi[~normal] - ref[~normal]).max(initial=0.0) <= tiny
-    assert np.isfinite(utility_loss(uniform_problem(model), star))
+        for occ in (pi, closed):
+            assert np.isfinite(occ).all()
+            np.testing.assert_allclose(occ[normal], ref[normal], rtol=1e-9, atol=0.0)
+            assert np.abs(occ[~normal] - ref[~normal]).max(initial=0.0) <= tiny
+        wrong += problem.stakes[w] * ref[star.decision != w].sum()
+    assert 0.0 < wrong < 1e-25
+    assert utility_loss(problem, star) == pytest.approx(wrong, rel=1e-9, abs=0.0)
 
 
 def test_residual_gate_accepts_the_stationary_vector():

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import famlearn
+import oracles
 from famlearn import SignalModel, cli, pair_commitment_problem
 from famlearn.cli import main
 
@@ -98,6 +99,72 @@ def test_eval_ladder(tmp_path):
     check_schema(payload, "eval")
 
 
+def test_eval_solves_each_world_once(tmp_path, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("diagnostics must reuse the profile eval solved")
+
+    monkeypatch.setattr(famlearn.diagnostics, "occupancy_profile", refuse, raising=False)
+    solves = []
+    stationary = famlearn.chain.stationary
+
+    def counted(*args):
+        solves.append(args)
+        return stationary(*args)
+
+    monkeypatch.setattr(famlearn.chain, "stationary", counted)
+    spec = write_spec(
+        tmp_path,
+        {
+            "problem": {"model": LADDER_JSON},
+            "mechanism": {"blueprint": {"family": "line", "params": {"m_size": 4}}},
+        },
+    )
+    assert run("eval", spec, tmp_path) == 0
+    assert len(solves) == 2
+
+
+def test_eval_reruns_byte_identical(tmp_path):
+    spec = write_spec(
+        tmp_path,
+        {
+            "problem": {"model": BINARY_JSON},
+            "mechanism": {
+                "blueprint": {"family": "star", "params": {"lam": 6, "delta": 5.0}}
+            },
+        },
+    )
+    assert run("eval", spec, tmp_path / "a") == 0
+    assert run("eval", spec, tmp_path / "b") == 0
+    first = (tmp_path / "a" / "eval.json").read_bytes()
+    assert first == (tmp_path / "b" / "eval.json").read_bytes()
+
+
+def test_eval_and_sweep_keep_a_loss_below_the_total_rounding_error(tmp_path):
+    """The depth-400 star loses about 1.6e-28, far below 1 ulp of the total."""
+    mass = [[0.6, 0.4], [0.4, 0.6]]
+    spec = write_spec(
+        tmp_path,
+        {
+            "problem": {"model": SignalModel.from_rows(mass).to_json()},
+            "mechanism": {
+                "blueprint": {"family": "star", "params": {"lam": 400, "delta": 5.0}}
+            },
+            "sweep": {"lam": [400]},
+        },
+    )
+    star = famlearn.build_star(SignalModel.from_rows(mass), lam=400, delta=5.0)
+    wrong = sum(
+        0.5 * oracles.star_occupancy_mp(mass, 5.0, 400, w)[star.decision != w].sum()
+        for w in range(2)
+    )
+    assert run("eval", spec, tmp_path) == 0
+    loss = json.loads((tmp_path / "eval.json").read_text())["loss"]
+    assert loss == pytest.approx(wrong, rel=1e-9, abs=0.0)
+    assert run("sweep", spec, tmp_path, "--format", "json") == 0
+    row = json.loads((tmp_path / "sweep.json").read_text())["rows"][0]
+    assert row["loss"] == pytest.approx(wrong, rel=1e-9, abs=0.0)
+
+
 def test_eval_inline_mechanism_requires_model(tmp_path):
     mech_json = {
         "m": 1,
@@ -139,7 +206,9 @@ def test_eval_star_with_spread_bound_past_float_range(tmp_path):
 
 
 def test_non_finite_artifact_is_domain_exit_and_writes_nothing(tmp_path, monkeypatch):
-    monkeypatch.setattr(cli, "profile_utility", lambda *args: float("nan"))
+    monkeypatch.setattr(
+        cli, "_price", lambda stakes, occ, decision: (float("nan"), 0.0, decision)
+    )
     spec = write_spec(
         tmp_path,
         {

@@ -201,7 +201,7 @@ def test_classify_world_boundary_is_big():
 def test_report_fields_cohere():
     prob = uniform_problem(LADDER_MODEL)
     line = build_line(LADDER_MODEL, 4)
-    report = diagnostics_report(prob, line)
+    report = diagnostics_report(prob, line, occupancy_profile(prob, line))
     assert report.likelihood_ratios.shape == (2, 2, 4)
     finite = np.isfinite(report.spreads) & np.isfinite(report.spread_bounds)
     assert (
@@ -221,7 +221,7 @@ def test_report_serializes_non_finite_as_null():
         transition=np.array([[[1.0, 0.0]] * 2, [[0.0, 1.0]] * 2]),
         decision=np.array([0, 0]),
     )
-    report = diagnostics_report(prob, mech)
+    report = diagnostics_report(prob, mech, occupancy_profile(prob, mech))
     import json
 
     json.dumps(report.to_json())  # must not choke on inf/nan
