@@ -20,12 +20,13 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
 import sys
 import tempfile
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -44,6 +45,7 @@ from .diagnostics import (
 )
 from .errors import DomainError
 from .search import (
+    DEFAULT_ENUMERATION_BUDGET,
     SearchConfig,
     enumerate_deterministic,
     epsilon_gap,
@@ -56,6 +58,14 @@ COMMANDS = ("validate", "eval", "sweep", "disagree", "closed-forms", "search")
 
 class SpecFormatError(Exception):
     """The experiment spec (or a file it references) is unusable."""
+
+
+def _parse(kind, obj: dict, where: str):
+    """``kind.from_json(obj)``, with a missing key reported as a spec error."""
+    try:
+        return kind.from_json(obj)
+    except KeyError as exc:
+        raise SpecFormatError(f"{where} has no key {exc.args[0]!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -113,9 +123,10 @@ class ExperimentSpec:
     def model_optional(self) -> SignalModel | None:
         section = self.raw.get("problem", self.raw)
         if "model_file" in section:
-            return SignalModel.from_json(self._load_ref(section["model_file"]))
+            name = section["model_file"]
+            return _parse(SignalModel, self._load_ref(name), f"model file {name}")
         if "model" in section:
-            return SignalModel.from_json(section["model"])
+            return _parse(SignalModel, section["model"], "problem.model")
         return None
 
     def model(self) -> SignalModel:
@@ -143,7 +154,7 @@ class ExperimentSpec:
 
     def mechanism_section(self, section: dict, model: SignalModel | None):
         if "blueprint" in section:
-            blueprint = MechanismBlueprint.from_json(section["blueprint"])
+            blueprint = _parse(MechanismBlueprint, section["blueprint"], "blueprint")
             needs_model = blueprint.family in ("line", "star", "noisy_star")
             if needs_model and model is None:
                 raise SpecFormatError(
@@ -161,9 +172,10 @@ class ExperimentSpec:
                     )
             return mech, built_model
         if "file" in section:
-            mech = UpdatingMechanism.from_json(self._load_ref(section["file"]))
+            name = section["file"]
+            mech = _parse(UpdatingMechanism, self._load_ref(name), f"file {name}")
         elif "inline" in section:
-            mech = UpdatingMechanism.from_json(section["inline"])
+            mech = _parse(UpdatingMechanism, section["inline"], "inline mechanism")
         else:
             raise SpecFormatError(
                 "mechanism section needs one of: blueprint, file, inline"
@@ -273,7 +285,8 @@ def cmd_sweep(spec: ExperimentSpec, out: Path, seed: int, fmt: str) -> int:
     points = []
     if axis == "m":
         problem = spec.problem()
-        budget = int(spec.raw.get("search", {}).get("budget", 10**6))
+        section = spec.raw.get("search", {})
+        budget = int(section.get("budget", DEFAULT_ENUMERATION_BUDGET))
         for m in values:
             result = enumerate_deterministic(problem, int(m), budget=budget)
             points.append((int(m), result.mechanism))
@@ -398,19 +411,16 @@ def cmd_search(spec: ExperimentSpec, out: Path, seed: int, fmt: str) -> int:
     problem = spec.problem()
     method = section.get("method", "anneal")
     if method == "enumerate":
-        result = enumerate_deterministic(
-            problem, int(section["m_size"]), budget=int(section.get("budget", 10**6))
-        )
+        budget = int(section.get("budget", DEFAULT_ENUMERATION_BUDGET))
+        result = enumerate_deterministic(problem, int(section["m_size"]), budget=budget)
     elif method == "anneal":
-        config = SearchConfig(
-            m_size=int(section["m_size"]),
-            restarts=int(section.get("restarts", 8)),
-            iterations=int(section.get("iterations", 5000)),
-            step_scale=float(section.get("step_scale", 0.25)),
-            initial_temperature=float(section.get("initial_temperature", 0.1)),
-            cooling=float(section.get("cooling", 0.995)),
-            seed=seed,
-        )
+        # Knobs the spec sets take the type of their default; the rest keep it.
+        knobs = {
+            f.name: type(f.default)(section[f.name])
+            for f in fields(SearchConfig)
+            if f.name in section and f.name not in ("m_size", "seed")
+        }
+        config = SearchConfig(m_size=int(section["m_size"]), seed=seed, **knobs)
         result = local_search(problem, config)
     else:
         raise SpecFormatError(f"unknown search method {method!r}")
@@ -450,6 +460,7 @@ DEFAULT_FORMATS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="famlearn",

@@ -138,23 +138,51 @@ def _exact_result(problem: Problem, transition: np.ndarray, trace) -> SearchResu
 def _cesaro_rows(kernels: np.ndarray, initial: int) -> np.ndarray:
     """Long-run occupancy row of each stacked kernel, via averaged powers.
 
-    Computes the Cesaro mean ``(I + Q + ... + Q^(T-1)) / T`` at horizon
-    ``T = 2**k`` by operator doubling, which converges for periodic and
-    reducible chains alike — both show up constantly among deterministic
-    tables, so a plain eigenvector solve is not an option here.
+    Carries row ``initial`` of the Cesaro mean ``(I + Q + ... + Q^(T-1)) / T``
+    to horizon ``T = 2**k`` by operator doubling, ``row <- (row + row Q^T) / 2``,
+    which converges for periodic and reducible chains alike — both show up
+    constantly among deterministic tables, so an eigenvector solve won't do.
     """
-    m = kernels.shape[-1]
-    avg = np.broadcast_to(np.eye(m), kernels.shape).copy()
+    row = np.zeros(kernels.shape[:-1])
+    row[:, initial] = 1.0
     power = kernels.copy()
     for _ in range(_CESARO_DOUBLINGS):
-        avg = 0.5 * (avg + avg @ power)
+        row = 0.5 * (row + (row[:, None, :] @ power)[:, 0, :])
         power = power @ power
         # Repeated squaring squares the row-sum error along with the
         # matrix, so renormalise every round; otherwise the drift grows
         # like (1 + eps)**(2**k) and wrecks the later horizons.
-        avg /= avg.sum(axis=-1, keepdims=True)
+        row /= row.sum(axis=-1, keepdims=True)
         power /= power.sum(axis=-1, keepdims=True)
-    return avg[:, initial, :]
+    return row
+
+
+def _canonical_codes(tables: np.ndarray) -> np.ndarray:
+    """Index of each table's canonical form among the raw tables.
+
+    The canonical form relabels states in breadth-first order from state 0,
+    scanning signals in order, and zeroes the rows of unreachable states
+    (Almeida, Moreira & Reis, *Theor. Comput. Sci.* 387, 2007); neither
+    changes the occupancy seen from state 0.  Read as base-``m`` digits,
+    its entries give its own index in the enumeration order.
+    """
+    n_tables, m, alphabet = tables.shape
+    rows = np.arange(n_tables)
+    label = np.full((n_tables, m), -1)
+    label[:, 0] = 0
+    order = np.zeros((n_tables, m), dtype=np.int64)
+    found = np.ones(n_tables, dtype=np.int64)
+    codes = np.zeros(n_tables, dtype=np.int64)
+    for pos in range(m * alphabet):
+        state, signal = divmod(pos, alphabet)
+        live = state < found
+        target = tables[rows, order[:, state], signal]
+        new = live & (label[rows, target] < 0)
+        label[rows[new], target[new]] = found[new]
+        order[rows[new], found[new]] = target[new]
+        found += new
+        codes = codes * m + np.where(live, label[rows, target], 0)
+    return codes
 
 
 def enumeration_count(problem: Problem, m_size: int) -> int:
@@ -171,11 +199,12 @@ def enumerate_deterministic(
 ) -> SearchResult:
     """Best mechanism with deterministic transitions, by brute force.
 
-    Every transition table is scored in one vectorized pass (decisions by
-    pointwise argmax, which is never worse than any fixed decision rule),
-    then the near-ties are re-solved exactly and the first-indexed winner
-    is returned.  The result's ``epsilon_gap`` is 0 *relative to the
-    deterministic class*; stochastic mechanisms may still do better.
+    Every transition table is scored in one vectorized pass, once per
+    canonical form (decisions by pointwise argmax, which is never worse
+    than any fixed decision rule), then the near-ties are re-solved
+    exactly and the first-indexed winner is returned.  The result's
+    ``epsilon_gap`` is 0 *relative to the deterministic class*;
+    stochastic mechanisms may still do better.
     """
     n_tables = enumeration_count(problem, m_size)
     if n_tables > budget:
@@ -183,22 +212,22 @@ def enumerate_deterministic(
     model = problem.model
     m, alphabet, n = m_size, model.alphabet_size, problem.n_states
 
-    flat = np.arange(n_tables)
-    digits = np.empty((n_tables, m * alphabet), dtype=np.int64)
-    for pos in range(m * alphabet - 1, -1, -1):
-        digits[:, pos] = flat % m
-        flat //= m
-    tables = digits.reshape(n_tables, m, alphabet)
+    # Table t holds the base-m digits of t, most significant first.
+    tables = np.indices((m,) * (m * alphabet)).reshape(m * alphabet, -1).T
+    tables = tables.reshape(n_tables, m, alphabet)
 
-    onehot = (tables[..., None] == np.arange(m)).astype(np.float64)
+    # Score each canonical table once and hand its loss to its whole class.
+    classes, inverse = np.unique(_canonical_codes(tables), return_inverse=True)
+    onehot = tables[classes, ..., None] == np.arange(m)
     kernels = np.einsum("ws,tmsj->twmj", model.mass, onehot).reshape(-1, m, m)
-    occ = _cesaro_rows(kernels, initial=0).reshape(n_tables, n, m)
-    _, losses, _ = _price(problem.stakes, occ)
+    occ = _cesaro_rows(kernels, initial=0).reshape(classes.size, n, m)
+    losses = _price(problem.stakes, occ)[1][inverse]
 
     shortlist = np.flatnonzero(losses <= losses.min() + 1e-9)
     best = None
     for idx in shortlist:
-        candidate = _exact_result(problem, onehot[idx], trace=())
+        onehot = tables[idx, ..., None] == np.arange(m)
+        candidate = _exact_result(problem, onehot, trace=())
         if best is None or candidate.loss < best.loss - 1e-15:
             best = candidate
     return replace(best, trace=((0, best.loss),), epsilon_gap=0.0)

@@ -201,3 +201,23 @@ def recurrent_classes_nx(kernel: np.ndarray):
         else:
             transient.extend(members)
     return sorted(classes), sorted(transient)
+
+
+def canonical_table(table) -> tuple:
+    """Breadth-first relabelling of a deterministic table from state 0.
+
+    ``table[state][signal]`` is the successor.  States are numbered in the
+    order a queue from state 0 first meets them, scanning signals in
+    order; rows of states never met are all 0.
+    """
+    label = {0: 0}
+    queue = [0]
+    for state in queue:
+        for target in table[state]:
+            if target not in label:
+                label[target] = len(label)
+                queue.append(target)
+    canon = [(0,) * len(table[0])] * len(table)
+    for state, new in label.items():
+        canon[new] = tuple(label[t] for t in table[state])
+    return tuple(canon)

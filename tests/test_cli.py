@@ -13,8 +13,9 @@ import pytest
 
 import famlearn
 import oracles
-from famlearn import SignalModel, cli, pair_commitment_problem
+from famlearn import SearchConfig, SignalModel, cli, pair_commitment_problem
 from famlearn.cli import main
+from famlearn.search import DEFAULT_ENUMERATION_BUDGET
 
 BINARY_JSON = SignalModel.from_rows([[0.8, 0.2], [0.2, 0.8]]).to_json()
 LADDER_JSON = SignalModel.from_rows([[0.7, 0.3], [0.3, 0.7]]).to_json()
@@ -71,6 +72,31 @@ def test_malformed_spec_is_usage_exit(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
     assert run("validate", str(path), tmp_path) == 2
+
+
+def test_model_missing_key_is_usage_exit(tmp_path):
+    renamed = {"n_states": 2, "alphabet_size": 2, "mass": BINARY_JSON["mass"]}
+    spec = write_spec(tmp_path, {"problem": {"model": renamed}})
+    proc = subprocess.run(
+        [sys.executable, "-m", "famlearn.cli", "validate", "--spec", spec, "--out", str(tmp_path)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2
+    assert "error:" in proc.stderr and "'states'" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_mechanism_missing_key_is_usage_exit(tmp_path, capsys):
+    spec = write_spec(
+        tmp_path,
+        {
+            "problem": {"model": BINARY_JSON},
+            "mechanism": {"inline": {"m": 1, "transition": [[[1.0], [1.0]]]}},
+        },
+    )
+    assert run("eval", spec, tmp_path) == 2
+    assert "'decision'" in capsys.readouterr().err
 
 
 def test_command_tag_mismatch(tmp_path):
@@ -519,6 +545,55 @@ def test_search_seed_flag_overrides_spec(tmp_path):
     a = json.loads((out_a / "search.json").read_text())
     b = json.loads((out_b / "search.json").read_text())
     assert a["mechanism"]["transition"] != b["mechanism"]["transition"]
+
+
+def test_search_leaves_unset_knobs_to_the_library(tmp_path, monkeypatch):
+    class Seen(Exception):
+        pass
+
+    def record(*args, **kwargs):
+        raise Seen(args[1:] + tuple(kwargs.values()))
+
+    monkeypatch.setattr(cli, "local_search", record)
+    monkeypatch.setattr(cli, "enumerate_deterministic", record)
+    specs = [
+        ("search", {"seed": 7, "search": {"method": "anneal", "m_size": 2}}),
+        ("search", {"seed": 7, "search": {"m_size": 2.0, "restarts": 3.0, "step_scale": 1}}),
+        ("search", {"search": {"method": "enumerate", "m_size": 2}}),
+        ("sweep", {"sweep": {"m": [1]}}),
+    ]
+    seen = []
+    for i, (command, extra) in enumerate(specs):
+        spec = write_spec(tmp_path, {"problem": {"model": BINARY_JSON}, **extra}, f"{i}.json")
+        with pytest.raises(Seen) as exc:
+            run(command, spec, tmp_path)
+        seen.append(exc.value.args[0])
+    assert seen[0] == (SearchConfig(m_size=2, seed=7),)
+    assert seen[1] == (SearchConfig(m_size=2, restarts=3, step_scale=1.0, seed=7),)
+    config = seen[1][0]
+    assert type(config.restarts) is int and type(config.step_scale) is float
+    assert seen[2:] == [(2, DEFAULT_ENUMERATION_BUDGET), (1, DEFAULT_ENUMERATION_BUDGET)]
+
+
+def test_parser_is_built_once_and_gives_a_fresh_parsers_results(tmp_path):
+    validate = write_spec(tmp_path, {"problem": {"model": BINARY_JSON}}, "v.json")
+    search = write_spec(
+        tmp_path,
+        {"problem": {"model": BINARY_JSON}, "search": {"method": "enumerate", "m_size": 2}},
+        "s.json",
+    )
+    cached = [run("validate", validate, tmp_path / "a"), run("search", search, tmp_path / "a")]
+    assert cli.build_parser() is cli.build_parser()
+    fresh = []
+    for command, spec in (("validate", validate), ("search", search)):
+        cli.build_parser.cache_clear()
+        fresh.append(run(command, spec, tmp_path / "b"))
+    assert cached == fresh == [0, 0]
+    for name in ("validate.json", "search.json", "trace.csv"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+    with pytest.raises(SystemExit) as exc:
+        main(["search"])
+    assert exc.value.code == 2
 
 
 # --- console script ---------------------------------------------------------

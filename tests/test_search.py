@@ -1,6 +1,7 @@
 """Exhaustive and annealed mechanism search."""
 
 import dataclasses
+from itertools import product
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from famlearn import (
     uniform_problem,
     utility_loss,
 )
+from famlearn.search import _canonical_codes, _cesaro_rows
 
 BINARY = SignalModel.from_rows([[0.8, 0.2], [0.2, 0.8]])
 
@@ -111,6 +113,92 @@ def test_enumerate_beats_any_sampled_table(seed):
         m_size=2, transition=tr, decision=rng.integers(0, 2, size=2)
     )
     assert best.loss <= utility_loss(prob, probe) + 1e-9
+
+
+# winning table (successor per memory state and signal), decision and loss,
+# frozen from the enumeration that scored every raw table on its own
+FROZEN_WINNERS = {
+    "binary m=3": ([[0, 1], [0, 2], [1, 2]], [0, 0, 1], 1 / 7),
+    "skewed m=3": ([[0, 1, 0], [0, 2, 1], [1, 2, 2]], [0, 0, 1], SKEWED_REFERENCE),
+    "binary m=4": ([[0, 1], [0, 2], [1, 3], [2, 3]], [0, 0, 1, 1], 1 / 17),
+}
+
+
+@pytest.mark.parametrize(
+    ("m_size", "alphabet", "classes"), [(3, 2, 229), (3, 3, 8022), (4, 2, 5477)]
+)
+def test_canonical_codes_match_breadth_first_oracle(m_size, alphabet, classes):
+    raw = list(product(range(m_size), repeat=m_size * alphabet))
+    tables = np.array(raw).reshape(-1, m_size, alphabet)
+    codes = _canonical_codes(tables)
+    digits = [
+        sum(d * m_size**p for p, d in enumerate(reversed(np.ravel(canon))))
+        for canon in (oracles.canonical_table(t.tolist()) for t in tables)
+    ]
+    assert codes.tolist() == digits
+    assert np.unique(codes).size == classes
+    # a canonical table is its own class representative
+    assert (codes[np.unique(codes)] == np.unique(codes)).all()
+
+
+# periodic, reducible and absorbing kernels, which an eigenvector solve
+# mishandles but the Cesaro average must not
+AWKWARD_KERNELS = {
+    "periodic3": np.roll(np.eye(3), 1, axis=1),
+    "periodic4": np.array(
+        [[0, 0.5, 0, 0.5], [0.5, 0, 0.5, 0], [0, 0.5, 0, 0.5], [0.5, 0, 0.5, 0]]
+    ),
+    "reducible3": np.array([[0.2, 0.5, 0.3], [0, 0, 1], [0, 1, 0]]),
+    "reducible4": np.array(
+        [[0.1, 0.3, 0.2, 0.4], [0, 0.6, 0.4, 0], [0, 0.7, 0.3, 0], [0, 0, 0, 1]]
+    ),
+    "absorbing3": np.array([[0.5, 0.25, 0.25], [0, 1, 0], [0, 0, 1]]),
+    "absorbing4": np.array([[0, 1, 0, 0], [0.3, 0, 0.7, 0], [0, 0, 0, 1], [0, 0, 0, 1]]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(AWKWARD_KERNELS))
+@pytest.mark.parametrize("initial", [0, 1])
+def test_cesaro_rows_match_power_averaging_oracle(name, initial):
+    """Each kernel is stacked with its normalised transpose."""
+    kernel = AWKWARD_KERNELS[name]
+    stack = np.stack([kernel, kernel.T / kernel.T.sum(axis=1, keepdims=True)])
+    rows = _cesaro_rows(stack, initial)
+    for got, q in zip(rows, stack):
+        np.testing.assert_allclose(got, oracles.cesaro_occupancy(q, initial), atol=1e-12)
+
+
+@pytest.mark.parametrize("name", sorted(FROZEN_WINNERS))
+def test_enumerate_returns_the_frozen_winner(name):
+    problem = skewed_problem() if name.startswith("skewed") else uniform_problem(BINARY)
+    table, decision, loss = FROZEN_WINNERS[name]
+    result = enumerate_deterministic(problem, len(table))
+    assert result.mechanism.transition.argmax(axis=2).tolist() == table
+    assert result.mechanism.decision.tolist() == decision
+    assert result.loss == pytest.approx(loss, abs=1e-12)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.integers(min_value=2, max_value=3),
+    st.integers(min_value=2, max_value=3),
+    st.integers(min_value=1, max_value=2),
+)
+def test_enumerate_matches_oracle_on_seeded_problems(seed, n, alphabet, m_size):
+    rng = np.random.default_rng(seed)
+    mass = rng.uniform(0.1, 1.0, size=(n, alphabet))
+    mass /= mass.sum(axis=1, keepdims=True)
+    prob = Problem(
+        model=SignalModel.from_rows(mass),
+        utilities=rng.uniform(0.5, 2.0, size=n),
+        prior=rng.dirichlet(np.ones(n)),
+    )
+    result = enumerate_deterministic(prob, m_size)
+    oracle_loss, _ = oracles.best_deterministic_loss(
+        prob.model.mass, prob.utilities, prob.prior, m_size
+    )
+    assert result.loss == pytest.approx(oracle_loss, abs=1e-10)
 
 
 def test_local_search_finds_binary_optimum():
