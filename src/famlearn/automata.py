@@ -31,6 +31,7 @@ JSON.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +43,7 @@ from .signals import (
     confirmatory_lotteries,
     expected_lottery_mass,
 )
+from .sparse import SparseRows
 
 #: Transition rows must sum to 1 within this tolerance.
 TRANSITION_ROW_TOL = 1e-12
@@ -55,60 +57,107 @@ BLUEPRINT_FAMILIES = (
 )
 
 
-@dataclass(frozen=True)
 class UpdatingMechanism:
     """A stationary memory-update rule plus a deterministic decision rule.
 
-    ``transition`` has shape ``(m_size, alphabet_size, m_size)``; each
-    ``transition[m, s]`` row is a probability vector over successor memory
-    states.  ``decision[m]`` is the action index taken while in ``m``
-    (actions are state-of-the-world indices).  ``initial_state`` matters
-    only when the induced chain is reducible, but is always carried so
-    runs are reproducible.
+    On signal ``s`` in memory state ``m`` the agent moves to ``m2`` with
+    probability ``transition[m, s, m2]``.  ``decision[m]`` is the action
+    index taken while in ``m`` (actions are state-of-the-world indices).
+    ``initial_state`` matters only when the induced chain is reducible,
+    but is always carried so runs are reproducible.
+
+    ``transition`` is given either as the dense ``(m_size, alphabet_size,
+    m_size)`` tensor or as :class:`~famlearn.sparse.SparseRows` with one
+    row per (state, signal) pair, row ``m * alphabet_size + s``.  The
+    mechanism keeps the sparse form as ``rows``, which is all the chain
+    analysis reads; the dense tensor is built on the first read of
+    ``transition``.  Instances are treated as immutable.
     """
 
-    m_size: int
-    transition: np.ndarray
-    decision: np.ndarray
-    initial_state: int = 0
+    __slots__ = (
+        "m_size", "alphabet_size", "rows", "decision", "initial_state", "_dense", "_moves"
+    )
 
-    def __post_init__(self):
-        transition = np.asarray(self.transition, dtype=np.float64)
-        decision = np.asarray(self.decision, dtype=np.int64)
-        if transition.ndim != 3 or transition.shape[0] != transition.shape[2]:
-            raise ValueError(
-                f"transition must have shape (m, s, m), got {transition.shape}"
-            )
-        if self.m_size != transition.shape[0]:
-            raise ValueError(
-                f"m_size={self.m_size} does not match tensor {transition.shape}"
-            )
-        if decision.shape != (self.m_size,):
+    def __init__(self, m_size: int, transition, decision, initial_state: int = 0):
+        if isinstance(transition, SparseRows):
+            rows, dense = transition, None
+            if m_size < 1 or rows.width != m_size or len(rows) % m_size:
+                raise ValueError(
+                    f"transition rows must be (m*s, m) with m={m_size}, "
+                    f"got ({len(rows)}, {rows.width})"
+                )
+            alphabet = len(rows) // m_size
+        else:
+            dense = np.asarray(transition, dtype=np.float64)
+            if dense.ndim != 3 or dense.shape[0] != dense.shape[2]:
+                raise ValueError(
+                    f"transition must have shape (m, s, m), got {dense.shape}"
+                )
+            if m_size != dense.shape[0]:
+                raise ValueError(f"m_size={m_size} does not match tensor {dense.shape}")
+            alphabet = dense.shape[1]
+            rows = SparseRows.from_dense(dense.reshape(m_size * alphabet, m_size))
+            dense.setflags(write=False)
+        decision = np.asarray(decision, dtype=np.int64)
+        if decision.shape != (m_size,):
             raise ValueError(
                 f"decision must have one action per memory state, got {decision.shape}"
             )
         if (decision < 0).any():
             raise ValueError("decision entries must be nonnegative action indices")
-        if not 0 <= self.initial_state < self.m_size:
-            raise ValueError(f"initial_state {self.initial_state} out of range")
-        if (transition < 0).any():
+        if not 0 <= initial_state < m_size:
+            raise ValueError(f"initial_state {initial_state} out of range")
+        if (rows.value < 0).any():
             raise ValueError("transition probabilities must be nonnegative")
-        row_sums = transition.sum(axis=2)
-        worst = float(np.abs(row_sums - 1.0).max())
+        row_sums = rows.row_sums()
+        gap = np.abs(row_sums - 1.0)
+        worst = float(gap.max())
         if worst > TRANSITION_ROW_TOL:
-            bad = np.unravel_index(int(np.abs(row_sums - 1.0).argmax()), row_sums.shape)
+            bad = int(gap.argmax())
             raise ValueError(
-                f"transition row (m={bad[0]}, s={bad[1]}) sums to "
+                f"transition row (m={bad // alphabet}, s={bad % alphabet}) sums to "
                 f"{row_sums[bad]!r}, off by {worst:.2e}"
             )
-        transition.setflags(write=False)
         decision.setflags(write=False)
-        object.__setattr__(self, "transition", transition)
-        object.__setattr__(self, "decision", decision)
+        self.m_size = m_size
+        self.alphabet_size = alphabet
+        self.rows = rows
+        self.decision = decision
+        self.initial_state = initial_state
+        self._dense = dense
+        self._moves = None
 
     @property
-    def alphabet_size(self) -> int:
-        return self.transition.shape[1]
+    def transition(self) -> np.ndarray:
+        """The dense ``(m_size, alphabet_size, m_size)`` tensor."""
+        if self._dense is None:
+            dense = self.rows.dense().reshape(self.m_size, self.alphabet_size, self.m_size)
+            dense.setflags(write=False)
+            self._dense = dense
+        return self._dense
+
+    @property
+    def moves(self):
+        """Each (state, successor) pair the rule takes on some signal.
+
+        Returns ``(source, target, prob)``, ordered by source, then target,
+        with ``prob[i, s]`` the chance of move ``i`` on signal ``s``.
+        """
+        if self._moves is None:
+            state, signal = np.divmod(self.rows.row_index, self.alphabet_size)
+            move, which = np.unique(
+                state * self.m_size + self.rows.index, return_inverse=True
+            )
+            prob = np.zeros((move.size, self.alphabet_size))
+            prob[which, signal] = self.rows.value
+            self._moves = (*np.divmod(move, self.m_size), prob)
+        return self._moves
+
+    def __repr__(self) -> str:
+        return (
+            f"UpdatingMechanism(m_size={self.m_size}, alphabet_size={self.alphabet_size}, "
+            f"nonzeros={self.rows.nnz}, initial_state={self.initial_state})"
+        )
 
     def to_json(self) -> dict:
         return {
@@ -129,6 +178,29 @@ class UpdatingMechanism:
             decision=np.asarray(obj["decision"], dtype=np.int64),
             initial_state=int(obj.get("initial", 0)),
         )
+
+
+def _mechanism(m_size: int, alphabet: int, parts, decision) -> UpdatingMechanism:
+    """Mechanism from ``(state, signal, successor, probability)`` parts.
+
+    The four fields of a part broadcast against each other.  Probability
+    landing on one (state, signal, successor) cell adds up in the order
+    given, as ``+=`` into a zero tensor would.
+    """
+    shapes = [np.broadcast(*part).shape for part in parts]
+    total = sum(math.prod(shape) for shape in shapes)
+    fields = [np.empty(total, np.int64) for _ in range(3)] + [np.empty(total)]
+    start = 0
+    for part, shape in zip(parts, shapes):
+        stop = start + math.prod(shape)
+        for field, x in zip(fields, part):
+            field[start:stop].reshape(shape)[...] = x
+        start = stop
+    state, signal, succ, prob = fields
+    rows = SparseRows.from_entries(
+        state * alphabet + signal, succ, prob, m_size * alphabet, m_size
+    )
+    return UpdatingMechanism(m_size=m_size, transition=rows, decision=decision)
 
 
 @dataclass(frozen=True)
@@ -161,16 +233,33 @@ class MechanismBlueprint:
         return cls(family=str(obj["family"]), params=dict(obj.get("params", {})))
 
 
-def expected_transition_matrix(
-    mech: UpdatingMechanism, model: SignalModel, w: int
-) -> np.ndarray:
-    """Signal-averaged one-period kernel ``Q^w`` when the true state is ``w``."""
+def transition_kernel(mech: UpdatingMechanism, model: SignalModel, w: int) -> SparseRows:
+    """Signal-averaged one-period kernel ``Q^w`` when the true state is ``w``.
+
+    Each of the mechanism's moves gets its chance on each signal times
+    ``mass[w, s]``, added in signal order, so ``Q^w`` holds no more
+    entries than the mechanism has moves.
+    """
     if model.alphabet_size != mech.alphabet_size:
         raise ValueError(
             f"alphabet mismatch: model has {model.alphabet_size} signals, "
             f"mechanism expects {mech.alphabet_size}"
         )
-    return np.einsum("s,msn->mn", model.mass[w], mech.transition)
+    source, target, prob = mech.moves
+    value = 0.0
+    for s in range(mech.alphabet_size):
+        value = value + prob[:, s] * model.mass[w, s]
+    keep = value != 0.0
+    return SparseRows.from_sorted(
+        source[keep], target[keep], value[keep], mech.m_size, mech.m_size
+    )
+
+
+def expected_transition_matrix(
+    mech: UpdatingMechanism, model: SignalModel, w: int
+) -> np.ndarray:
+    """:func:`transition_kernel` as a dense ``(m_size, m_size)`` array."""
+    return transition_kernel(mech, model, w).dense()
 
 
 # ---------------------------------------------------------------------------
@@ -191,17 +280,15 @@ def build_line(model: SignalModel, m_size: int) -> UpdatingMechanism:
         raise ValueError(f"line mechanism needs exactly 2 states, got {model.n_states}")
     if m_size < 2:
         raise ValueError(f"line mechanism needs m_size >= 2, got {m_size}")
-    up = model.mass[0] > model.mass[1]
-    transition = np.zeros((m_size, model.alphabet_size, m_size))
-    for m in range(m_size):
-        hi = min(m + 1, m_size - 1)
-        lo = max(m - 1, 0)
-        for s in range(model.alphabet_size):
-            transition[m, s, hi if up[s] else lo] += 1.0
-    decision = np.array([1] * (m_size // 2) + [0] * (m_size - m_size // 2))
-    return UpdatingMechanism(
-        m_size=m_size, transition=transition, decision=decision, initial_state=0
+    step = np.where(model.mass[0] > model.mass[1], 1, -1)
+    successor = np.clip(np.arange(m_size)[:, None] + step, 0, m_size - 1).ravel()
+    # One successor per (state, signal) row, so the rows come sorted.
+    rows = SparseRows.from_sorted(
+        np.arange(successor.size), successor, np.ones(successor.size),
+        successor.size, m_size,
     )
+    decision = np.array([1] * (m_size // 2) + [0] * (m_size - m_size // 2))
+    return UpdatingMechanism(m_size=m_size, transition=rows, decision=decision)
 
 
 # ---------------------------------------------------------------------------
@@ -270,8 +357,8 @@ def _star_layout(n_states: int, lam: int, m_size: int | None):
     return core, m_size
 
 
-def _branch_state(branch: int, depth: int, lam: int) -> int:
-    """Memory index of the given branch/depth; the center is index 0."""
+def _branch_state(branch, depth, lam: int):
+    """Memory index of the given branch/depth (or depths); the center is 0."""
     return 1 + branch * lam + (depth - 1)
 
 
@@ -294,6 +381,12 @@ def build_star(
     Memory states beyond the ``n*lam + 1`` core, if any, self-loop and are
     never entered from the center.
     """
+    m_size, parts, decision = _star_parts(model, lam, delta, lotteries, m_size)
+    return _mechanism(m_size, model.alphabet_size, parts, decision)
+
+
+def _star_parts(model, lam, delta, lotteries, m_size):
+    """Check a star's parameters; return its size, parts and decisions."""
     if lam < 1:
         raise ValueError(f"branch depth must be >= 1, got {lam}")
     if not delta > 1.0:
@@ -315,35 +408,26 @@ def build_star(
     if col_total.max() > 1.0 + TRANSITION_ROW_TOL:
         raise ValueError("lottery weights exceed 1 on some signal; cannot branch")
 
-    transition = np.zeros((m_size, alphabet, m_size))
-    for s in range(alphabet):
+    # Axes: branch, depth, signal.
+    signals = np.arange(alphabet)
+    depth = np.arange(1, lam + 1)[:, None]
+    u = _branch_state(np.arange(n)[:, None, None], depth, lam)
+    up_mass = S[:, None, :]
+    down_mass = ((col_total - S) / delta)[:, None, :]
+    stay = np.where(depth < lam, 1.0 - down_mass - up_mass, 1.0 - down_mass)
+    extra = np.arange(core, m_size)[:, None]
+    parts = [
         # Weights summing to 1 plus an ulp would leave -1e-16 here.
-        transition[0, s, 0] = max(0.0, 1.0 - col_total[s])
-        for i in range(n):
-            transition[0, s, _branch_state(i, 1, lam)] += S[i, s]
-    for i in range(n):
-        for k in range(1, lam + 1):
-            u = _branch_state(i, k, lam)
-            inward = _branch_state(i, k - 1, lam) if k >= 2 else 0
-            for s in range(alphabet):
-                up_mass = S[i, s]
-                down_mass = (col_total[s] - S[i, s]) / delta
-                stay = 1.0 - down_mass
-                if k < lam:
-                    transition[u, s, _branch_state(i, k + 1, lam)] += up_mass
-                    stay -= up_mass
-                transition[u, s, inward] += down_mass
-                transition[u, s, u] += stay
-    for m in range(core, m_size):
-        transition[m, :, m] = 1.0
-
+        (0, signals, 0, np.maximum(0.0, 1.0 - col_total)),
+        (0, signals, u[:, 0], S),
+        (u[:, :-1], signals, u[:, :-1] + 1, up_mass),
+        (u, signals, np.where(depth >= 2, u - 1, 0), down_mass),
+        (u, signals, u, stay),
+        (extra, signals, extra, 1.0),
+    ]
     decision = np.zeros(m_size, dtype=np.int64)
-    for i in range(n):
-        for k in range(1, lam + 1):
-            decision[_branch_state(i, k, lam)] = i
-    return UpdatingMechanism(
-        m_size=m_size, transition=transition, decision=decision, initial_state=0
-    )
+    decision[u[..., 0]] = np.arange(n)[:, None]
+    return m_size, parts, decision
 
 
 def build_noisy_star(
@@ -365,34 +449,30 @@ def build_noisy_star(
     """
     if not 0.0 <= gamma < 1.0:
         raise ValueError(f"gamma must lie in [0, 1), got {gamma}")
-    base = build_star(model, lam, delta, lotteries=lotteries, m_size=m_size)
-    n = model.n_states
-    core, m_size = _star_layout(n, lam, base.m_size)
+    m_size, parts, decision = _star_parts(model, lam, delta, lotteries, m_size)
+    n, alphabet = model.n_states, model.alphabet_size
+    core, m_size = _star_layout(n, lam, m_size)
 
-    slip = np.zeros((m_size, m_size))
-    for i in range(n):
-        slip[0, _branch_state(i, 1, lam)] += 1.0 / n
-    for i in range(n):
-        for k in range(1, lam + 1):
-            u = _branch_state(i, k, lam)
-            if k == lam:
-                slip[u, _branch_state(i, k - 1, lam) if k >= 2 else 0] = 1.0
-            elif k == 1:
-                slip[u, _branch_state(i, 2, lam)] = 0.5
-                slip[u, 0] = 0.5
-            else:
-                slip[u, _branch_state(i, k + 1, lam)] = 0.5
-                slip[u, _branch_state(i, k - 1, lam)] = 0.5
-    for m in range(core, m_size):
-        slip[m, m] = 1.0
-
-    transition = (1.0 - gamma) * base.transition + gamma * slip[:, None, :]
-    return UpdatingMechanism(
-        m_size=m_size,
-        transition=transition,
-        decision=base.decision,
-        initial_state=0,
-    )
+    parts = [(*part[:3], (1.0 - gamma) * part[3]) for part in parts]
+    # Slips (state, successor, chance), the same under every signal.
+    branch = np.arange(n)
+    depth = np.arange(1, lam)  # below the tip
+    u = _branch_state(branch[:, None], depth, lam)
+    tip = _branch_state(branch, lam, lam)
+    extra = np.arange(core, m_size)
+    slips = [
+        (0, _branch_state(branch, 1, lam), 1.0 / n),
+        (u, u + 1, 0.5),
+        (u, np.where(depth >= 2, u - 1, 0), 0.5),
+        (tip, tip - 1 if lam >= 2 else 0, 1.0),
+        (extra, extra, 1.0),
+    ]
+    signals = np.arange(alphabet)
+    parts += [
+        (np.reshape(source, (-1, 1)), signals, np.reshape(target, (-1, 1)), gamma * chance)
+        for source, target, chance in slips
+    ]
+    return _mechanism(m_size, alphabet, parts, decision)
 
 
 # ---------------------------------------------------------------------------
@@ -422,18 +502,10 @@ def build_symmetric_full(n: int, info: float, delta: float):
     if not 0.0 < delta < 1.0:
         raise ValueError(f"symmetric family needs 0 < delta < 1, got {delta}")
     model = symmetric_model(n, info)
-    transition = np.zeros((n, n, n))
-    for m in range(n):
-        for s in range(n):
-            transition[m, s, s] += delta
-            transition[m, s, m] += 1.0 - delta
-    mech = UpdatingMechanism(
-        m_size=n,
-        transition=transition,
-        decision=np.arange(n),
-        initial_state=0,
-    )
-    return mech, model
+    state = np.arange(n)[:, None]
+    signal = np.arange(n)
+    parts = [(state, signal, signal, delta), (state, signal, state, 1.0 - delta)]
+    return _mechanism(n, n, parts, np.arange(n)), model
 
 
 def build_symmetric_ignorant(n: int, info: float, delta: float):
@@ -452,27 +524,20 @@ def build_symmetric_ignorant(n: int, info: float, delta: float):
         raise ValueError(f"symmetric family needs 0 < delta < 1, got {delta}")
     model = symmetric_model(n, info)
     half = n // 2
-    transition = np.zeros((n, n, n))
+    entries = []
     decision = np.zeros(n, dtype=np.int64)
     for a in range(half):
         lo, hi = 2 * a, 2 * a + 1
         decision[lo] = decision[hi] = a
         for s in range(n):
             if s == a:
-                transition[hi, s, hi] += 1.0
-                transition[lo, s, hi] += 1.0
+                entries += [(hi, s, hi, 1.0), (lo, s, hi, 1.0)]
             elif s < half:
-                transition[hi, s, lo] += delta
-                transition[hi, s, hi] += 1.0 - delta
-                transition[lo, s, 2 * s] += delta
-                transition[lo, s, lo] += 1.0 - delta
+                entries += [(hi, s, lo, delta), (hi, s, hi, 1.0 - delta)]
+                entries += [(lo, s, 2 * s, delta), (lo, s, lo, 1.0 - delta)]
             else:
-                transition[hi, s, hi] += 1.0
-                transition[lo, s, lo] += 1.0
-    mech = UpdatingMechanism(
-        m_size=n, transition=transition, decision=decision, initial_state=0
-    )
-    return mech, model
+                entries += [(hi, s, hi, 1.0), (lo, s, lo, 1.0)]
+    return _mechanism(n, n, [tuple(map(np.array, zip(*entries)))], decision), model
 
 
 # ---------------------------------------------------------------------------

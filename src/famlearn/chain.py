@@ -15,14 +15,16 @@ absorption-weighted mixture of the recurrent classes' stationaries.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
 
-from .automata import UpdatingMechanism, expected_transition_matrix
+from .automata import UpdatingMechanism, transition_kernel
 from .errors import SolverError
 from .signals import SignalModel
+from .sparse import SparseRows
 
 #: Tolerance for rows of a kernel handed to the chain solvers.
 CHAIN_ROW_TOL = 1e-9
@@ -135,13 +137,18 @@ class StationaryProfile:
         return {"occupancy": [[float(x) for x in row] for row in self.occupancy]}
 
 
-def _check_kernel(q: np.ndarray) -> np.ndarray:
-    q = np.asarray(q, dtype=np.float64)
-    if q.ndim != 2 or q.shape[0] != q.shape[1]:
-        raise ValueError(f"kernel must be square, got {q.shape}")
-    if (q < 0).any():
+def _check_kernel(q) -> SparseRows:
+    """A dense array or :class:`SparseRows` kernel, checked, as ``SparseRows``."""
+    if not isinstance(q, SparseRows):
+        q = np.asarray(q, dtype=np.float64)
+        if q.ndim != 2 or q.shape[0] != q.shape[1]:
+            raise ValueError(f"kernel must be square, got {q.shape}")
+        q = SparseRows.from_dense(q)
+    if q.width != len(q):
+        raise ValueError(f"kernel must be square, got {(len(q), q.width)}")
+    if (q.value < 0).any():
         raise ValueError("kernel entries must be nonnegative")
-    gap = float(np.abs(q.sum(axis=1) - 1.0).max())
+    gap = float(np.abs(q.row_sums() - 1.0).max(initial=0.0))
     if gap > CHAIN_ROW_TOL:
         raise ValueError(f"kernel rows must be stochastic; worst row off by {gap:.2e}")
     return q
@@ -196,20 +203,19 @@ def _strong_components(n: int, indptr: list, succ: list):
     return n_comp, np.asarray(labels, dtype=np.int64)
 
 
-def recurrent_classes(q: np.ndarray):
+def recurrent_classes(q):
     """Split states into recurrent classes and transient states.
 
-    Returns ``(classes, transient)`` where ``classes`` is a list of
-    sorted index lists (the closed communicating classes, in order of
-    their smallest member) and ``transient`` is a sorted list of the
-    remaining states.  A strongly connected component is closed when no
-    edge of ``q`` leaves it.
+    ``q`` is a dense array or a :class:`SparseRows` kernel.  Returns
+    ``(classes, transient)`` where ``classes`` is a list of sorted index
+    lists (the closed communicating classes, in order of their smallest
+    member) and ``transient`` is a sorted list of the remaining states.
+    A strongly connected component is closed when no edge of ``q`` leaves
+    it.
     """
     q = _check_kernel(q)
-    n = q.shape[0]
-    rows, cols = np.nonzero(q > 0.0)
-    indptr = np.searchsorted(rows, np.arange(n + 1))
-    n_comp, labels = _strong_components(n, indptr.tolist(), cols.tolist())
+    n_comp, labels = _strong_components(len(q), q.indptr.tolist(), q.index.tolist())
+    rows, cols = q.row_index, q.index
     closed = np.ones(n_comp, dtype=bool)
     closed[labels[rows[labels[rows] != labels[cols]]]] = False
     classes = [np.flatnonzero(labels == c).tolist() for c in np.flatnonzero(closed)]
@@ -218,7 +224,7 @@ def recurrent_classes(q: np.ndarray):
     return classes, transient
 
 
-def _stationary_on_class(q: np.ndarray, members) -> np.ndarray:
+def _stationary_on_class(q: SparseRows, members) -> np.ndarray:
     """Stationary vector of ``q`` restricted to one closed class.
 
     Uses state-elimination (the subtraction-free Gaussian variant of
@@ -227,72 +233,142 @@ def _stationary_on_class(q: np.ndarray, members) -> np.ndarray:
     and elimination keeps componentwise relative accuracy where a
     replaced-row solve returns small negative garbage.
 
-    States are eliminated last to first.  Eliminating state ``j`` adds
-    the outer product of its inflow column and outflow row to the states
-    before it; only the nonzero rows and columns take part, so a sparse
-    chain (a star, eliminated tip-inward) costs time per pivot in its
-    fill-in rather than in ``j**2``.  A pivot with at least half its
-    block nonzero updates the whole block, which is faster than fancy
-    indexing and adds the same values.
+    The class is first eliminated on its nonzero entries alone (see
+    :func:`_eliminate_sparse`).  Once that has cost more updates than the
+    class has nonzeros, the class has filled in, and it is eliminated
+    again by :func:`_dense_gth` on a dense block.
     """
-    a = q[np.ix_(members, members)]
+    feeds = _eliminate_sparse(q, members)
+    if feeds is None:
+        return _dense_gth(q.block(members, members), members)
+    return _back_substitute(feeds)
+
+
+def _eliminate_sparse(q: SparseRows, members):
+    """GTH elimination of a closed class on its nonzero entries.
+
+    States are eliminated last to first.  Eliminating state ``j`` adds
+    the outer product of its normalised inflow column and its outflow row
+    to the states before it; a star, eliminated tip-inward, so costs one
+    update per state.  Returns each state's normalised inflow
+    ``[(i, a[i, j]), ...]`` over ``i < j``, which is all the
+    back-substitution reads, or ``None`` as soon as the running count of
+    updates would exceed the class's nonzero count.  Each value is formed
+    by the same operations as in :func:`_dense_gth`; the diagonal, which
+    GTH never reads, is not kept.
+    """
+    local = np.full(len(q), -1)
+    local[members] = np.arange(len(members))
+    entry_rows = local[q.row_index]
+    keep = entry_rows >= 0
+    row, col, value = entry_rows[keep], local[q.index[keep]], q.value[keep]
+    budget = row.size
+    off = row != col
     k = len(members)
+    rows = [{} for _ in range(k)]
+    cols = [[] for _ in range(k)]
+    for i, c, v in zip(row[off].tolist(), col[off].tolist(), value[off].tolist()):
+        rows[i][c] = v
+        cols[c].append(i)
+
+    updates = 0
+    feeds = [()] * k
     for j in range(k - 1, 0, -1):
-        s = a[j, :j].sum()
+        outflow = rows[j]
+        s = sum(outflow.values())
+        if not s > 0.0:
+            raise SolverError(
+                f"class member {members[j]} cannot reach the rest of its class"
+            )
+        inflow = [i for i in cols[j] if i < j]
+        updates += len(inflow) * len(outflow)
+        if updates > budget:
+            return None
+        feed = feeds[j] = [(i, rows[i].pop(j) / s) for i in inflow]
+        for i, f in feed:
+            target = rows[i]
+            for c, o in outflow.items():
+                if c != i:
+                    if c in target:
+                        target[c] += f * o
+                    else:
+                        target[c] = f * o
+                        cols[c].append(i)
+    return feeds
+
+
+def _back_substitute(feeds) -> np.ndarray:
+    """Occupancy of an eliminated class from its normalised inflows.
+
+    ``feeds[j]`` lists the pairs ``(i, a[i, j])`` with ``i < j`` and
+    ``a[i, j]`` nonzero, and ``pi[j] = sum(pi[i] * a[i, j])`` runs from
+    ``pi[0] = 1``.  Along a long, strongly drifting branch the partial
+    entries leave the float range, and an entry flushed to zero would zero
+    every state fed from it, however large their true mass.  So each entry
+    is kept as a mantissa and a binary exponent, and the entries are only
+    brought to a common scale at the end, where what underflows lies below
+    the smallest normal double after normalisation.  Scaling by powers of
+    two commutes with rounding, so within the float range this is bitwise
+    the plain sum taken in the same order.
+    """
+    k = len(feeds)
+    mantissa = [1.0] * k
+    exponent = [0] * k
+    for j in range(1, k):
+        feed = feeds[j]
+        if not feed:
+            raise SolverError(
+                "a class member cannot be reached from the rest of its class"
+            )
+        top = max([exponent[i] for i, _ in feed])
+        total = 0.0
+        for i, a in feed:
+            total += math.ldexp(mantissa[i], exponent[i] - top) * a
+        mantissa[j], shift = math.frexp(total)
+        exponent[j] = top + shift
+    exponent = np.asarray(exponent)
+    pi = np.ldexp(mantissa, exponent - exponent.max())
+    return pi / pi.sum()
+
+
+def _dense_gth(a: np.ndarray, members) -> np.ndarray:
+    """GTH elimination and back-substitution on the dense class block ``a``.
+
+    Each pivot adds the outer product of its inflow column and outflow
+    row to the block before it, from the first nonzero entry of each on:
+    the rows and columns before those would only have zeros added, so the
+    result is bitwise the whole-block update's, and a banded class costs
+    its band.  The back-substitution ``pi[j] = pi[:j] @ a[:j, j]`` runs
+    plain while every partial entry stays within ``[1/PLAIN_RANGE,
+    PLAIN_RANGE]`` of ``pi[0] = 1``, and otherwise restarts in
+    :func:`_back_substitute` on the block's nonzero entries.
+    """
+    k = a.shape[0]
+    for j in range(k - 1, 0, -1):
+        outflow = a[j, :j]
+        s = outflow.sum()
         if not s > 0.0:
             raise SolverError(
                 f"class member {members[j]} cannot reach the rest of its class"
             )
         inflow = a[:j, j]
         inflow /= s
-        outflow = a[j, :j]
-        if 2 * np.count_nonzero(inflow) * np.count_nonzero(outflow) >= j * j:
-            a[:j, :j] += inflow[:, None] * outflow
-        else:
-            rows = inflow.nonzero()[0][:, None]
-            cols = outflow.nonzero()[0]
-            a[rows, cols] += inflow[rows] * outflow[cols]
-    return _back_substitute(a)
-
-
-def _back_substitute(a: np.ndarray) -> np.ndarray:
-    """Occupancy from an eliminated class: ``pi[j] = pi[:j] @ a[:j, j]``.
-
-    Runs from ``pi[0] = 1``.  Along a long, strongly drifting branch the
-    partial entries leave the float range, and an entry flushed to zero
-    would zero every state fed from it, however large their true mass.
-    So once a partial entry leaves ``[1/PLAIN_RANGE, PLAIN_RANGE]`` the
-    pass restarts with a binary exponent kept beside each entry; the
-    entries are only brought to a common scale at the end, where what
-    underflows lies below the smallest normal double after normalisation.
-    """
-    k = a.shape[0]
+        r, c = (inflow != 0.0).argmax(), (outflow != 0.0).argmax()
+        if inflow[r]:
+            a[r:j, c:j] += inflow[r:, None] * outflow[c:]
     pi = np.empty(k)
     pi[0] = 1.0
     for j in range(1, k):
         pi[j] = pi[:j] @ a[:j, j]
         if not 1.0 / PLAIN_RANGE <= pi[j] <= PLAIN_RANGE:
-            break
-    else:
-        return pi / pi.sum()
-    mantissa = np.empty(k)
-    exponent = np.zeros(k, dtype=np.int64)
-    mantissa[0] = 1.0
-    for j in range(1, k):
-        src = a[:j, j].nonzero()[0]
-        if not src.size:
-            raise SolverError(
-                "a class member cannot be reached from the rest of its class"
+            sources = [np.flatnonzero(a[:i, i]) for i in range(k)]
+            return _back_substitute(
+                [list(zip(src.tolist(), a[src, i].tolist())) for i, src in enumerate(sources)]
             )
-        top = exponent[src].max()
-        scaled = np.ldexp(mantissa[src], exponent[src] - top)
-        mantissa[j], shift = np.frexp(scaled @ a[src, j])
-        exponent[j] = top + shift
-    pi = np.ldexp(mantissa, exponent - exponent.max())
     return pi / pi.sum()
 
 
-def _absorption_weights(q: np.ndarray, classes, transient, initial: int) -> np.ndarray:
+def _absorption_weights(q: SparseRows, classes, transient, initial: int) -> np.ndarray:
     """Probability of ending in each recurrent class, from ``initial``.
 
     A single class takes all the mass without a solve; nearly closed
@@ -306,10 +382,9 @@ def _absorption_weights(q: np.ndarray, classes, transient, initial: int) -> np.n
             weights[c] = 1.0
             return weights
     t_index = {m: i for i, m in enumerate(transient)}
-    qtt = q[np.ix_(transient, transient)]
-    lhs = np.eye(len(transient)) - qtt
+    lhs = np.eye(len(transient)) - q.block(transient, transient)
     for c, members in enumerate(classes):
-        rhs = q[np.ix_(transient, members)].sum(axis=1)
+        rhs = q.block(transient, members).sum(axis=1)
         try:
             hit = np.linalg.solve(lhs, rhs)
         except np.linalg.LinAlgError as exc:
@@ -323,21 +398,24 @@ def _absorption_weights(q: np.ndarray, classes, transient, initial: int) -> np.n
     return weights
 
 
-def stationary(q: np.ndarray, initial: int = 0) -> np.ndarray:
+def stationary(q, initial: int = 0) -> np.ndarray:
     """Long-run occupancy of the chain ``q`` started at ``initial``.
 
-    For a unichain this is the unique stationary distribution, with zeros
-    on the transient states.  When several closed classes exist, each is
+    ``q`` is a dense array or a :class:`SparseRows` kernel.  For a
+    unichain this is the unique stationary distribution, with zeros on
+    the transient states.  When several closed classes exist, each is
     weighted by the probability of being absorbed into it from the
     initial state, so the result is the Cesaro limit of the empirical
-    occupancy, not a solution of a single eigenproblem.
+    occupancy, not a solution of a single eigenproblem.  A kernel with no
+    zero entry is one class with nothing to skip, and goes straight to
+    the dense elimination.
     """
     q = _check_kernel(q)
-    n = q.shape[0]
+    n = len(q)
     if not 0 <= initial < n:
         raise ValueError(f"initial state {initial} out of range for {n} states")
-    if (q > 0.0).all():
-        pi = _stationary_on_class(q, list(range(n)))
+    if q.nnz == n * n:
+        pi = _dense_gth(q.dense(), range(n))
         _check_residual(pi, q)
         return pi
     classes, transient = recurrent_classes(q)
@@ -350,7 +428,7 @@ def stationary(q: np.ndarray, initial: int = 0) -> np.ndarray:
     return pi
 
 
-def _check_residual(pi: np.ndarray, q: np.ndarray) -> None:
+def _check_residual(pi: np.ndarray, q) -> None:
     """Reject an occupancy that is not finite, not a distribution, or not fixed.
 
     Written as ``not value <= tol`` so that a NaN fails every comparison.
@@ -368,7 +446,7 @@ def _check_residual(pi: np.ndarray, q: np.ndarray) -> None:
 def occupancy_profile(problem: Problem, mech: UpdatingMechanism) -> StationaryProfile:
     """Occupancy vector under every state of the world."""
     rows = [
-        stationary(expected_transition_matrix(mech, problem.model, w), mech.initial_state)
+        stationary(transition_kernel(mech, problem.model, w), mech.initial_state)
         for w in range(problem.n_states)
     ]
     return StationaryProfile(occupancy=np.vstack(rows))
@@ -454,22 +532,25 @@ def monte_carlo_occupancy(
     signals = rng.choice(mech.alphabet_size, size=total, p=problem.model.mass[w])
     uniforms = rng.random(total)
 
+    rows = mech.rows
+    indptr = rows.indptr.tolist()
+    successors = rows.index.tolist()
     deterministic: list[list[int | None]] = []
     cumulative: list[list[tuple]] = []
     for m in range(mech.m_size):
         det_row: list[int | None] = []
         cum_row: list[tuple] = []
-        for s in range(mech.alphabet_size):
-            row = mech.transition[m, s]
+        for r in range(m * mech.alphabet_size, (m + 1) * mech.alphabet_size):
+            start, stop = indptr[r], indptr[r + 1]
+            row = rows.value[start:stop]
             top = int(np.argmax(row))
-            det_row.append(top if row[top] >= 1.0 - 1e-12 else None)
-            cum_row.append(tuple(np.cumsum(row)))
+            det_row.append(successors[start + top] if row[top] >= 1.0 - 1e-12 else None)
+            cum_row.append((tuple(np.cumsum(row)), successors[start:stop]))
         deterministic.append(det_row)
         cumulative.append(cum_row)
 
     counts = np.zeros(mech.m_size)
     m = mech.initial_state
-    last = mech.m_size - 1
     sig_list = signals.tolist()
     uni_list = uniforms.tolist()
     for t in range(total):
@@ -478,7 +559,8 @@ def monte_carlo_occupancy(
         s = sig_list[t]
         jump = deterministic[m][s]
         if jump is None:
-            jump = min(bisect_right(cumulative[m][s], uni_list[t]), last)
+            cum, targets = cumulative[m][s]
+            jump = targets[min(bisect_right(cum, uni_list[t]), len(targets) - 1)]
         m = jump
     occupancy = counts / (steps - burn_in)
     frequencies = np.zeros(problem.n_states)
@@ -502,7 +584,10 @@ def joint_occupancy(
     The pair evolves as one chain on memory-state pairs; the returned
     matrix has shape ``(mech_a.m_size, mech_b.m_size)`` and sums to 1.
     Because both agents react to the *same* draw each period, this is not
-    the product of the marginal occupancies.
+    the product of the marginal occupancies.  The pair kernel is the sum
+    over signals of ``mass[w, s]`` times the Kronecker product of the two
+    mechanisms' rows for signal ``s``, summed in signal order and built
+    sparse.
     """
     if not 0 <= w < problem.n_states:
         raise ValueError(f"state {w} out of range")
@@ -512,9 +597,20 @@ def joint_occupancy(
     ):
         raise ValueError("both mechanisms must read the model's alphabet")
     ma, mb = mech_a.m_size, mech_b.m_size
-    kernel = np.einsum(
-        "s,msj,nsk->mnjk", model.mass[w], mech_a.transition, mech_b.transition
-    ).reshape(ma * mb, ma * mb)
+    # Every pair of moves, one per agent, is one cell of the pair kernel.
+    source_a, target_a, prob_a = mech_a.moves
+    source_b, target_b, prob_b = mech_b.moves
+    value = np.zeros((source_a.size, source_b.size))
+    for s in range(model.alphabet_size):
+        a, b = np.flatnonzero(prob_a[:, s]), np.flatnonzero(prob_b[:, s])
+        value[np.ix_(a, b)] += (model.mass[w, s] * prob_a[a, s])[:, None] * prob_b[b, s]
+    # A stable sort by pair state keeps each row's columns in order.
+    row = (source_a[:, None] * mb + source_b).ravel()
+    order = np.argsort(row, kind="stable")
+    row, value = row[order], value.ravel()[order]
+    col = (target_a[:, None] * mb + target_b).ravel()[order]
+    keep = value != 0.0
+    kernel = SparseRows.from_sorted(row[keep], col[keep], value[keep], ma * mb, ma * mb)
     start = mech_a.initial_state * mb + mech_b.initial_state
     return stationary(kernel, start).reshape(ma, mb)
 

@@ -54,6 +54,12 @@ from .search import (
 from .signals import SignalModel, validate
 
 COMMANDS = ("validate", "eval", "sweep", "disagree", "closed-forms", "search")
+#: The parameters each closed form reads from the spec's closed_form section.
+CLOSED_FORM_KEYS = {
+    "pair_commitment": ("nu", "tau", "ups"),
+    "symmetric": ("n", "info"),
+    "star": ("lam", "delta", "w"),
+}
 
 
 class SpecFormatError(Exception):
@@ -353,6 +359,11 @@ def cmd_closed_forms(spec: ExperimentSpec, out: Path, seed: int, fmt: str) -> in
     if not isinstance(section, dict) or "name" not in section:
         raise SpecFormatError("closed-forms needs a closed_form section with a name")
     name = section["name"]
+    if name not in CLOSED_FORM_KEYS:
+        raise SpecFormatError(f"unknown closed form {name!r}")
+    for key in CLOSED_FORM_KEYS[name]:
+        if key not in section:
+            raise SpecFormatError(f"closed form {name!r} has no key {key!r}")
     if name == "pair_commitment":
         result = pair_commitment_losses(
             float(section["nu"]), float(section["tau"]), float(section["ups"])
@@ -379,7 +390,7 @@ def cmd_closed_forms(spec: ExperimentSpec, out: Path, seed: int, fmt: str) -> in
         ]
         header = ("quantity", "value")
         summary = f"ignorant_better={better}"
-    elif name == "star":
+    else:
         model = spec.model()
         occ = star_occupancy_closed_form(
             model,
@@ -392,8 +403,6 @@ def cmd_closed_forms(spec: ExperimentSpec, out: Path, seed: int, fmt: str) -> in
         csv_rows = list(enumerate(float(x) for x in occ))
         header = ("memory_state", "mass")
         summary = f"states={occ.size}"
-    else:
-        raise SpecFormatError(f"unknown closed form {name!r}")
     if fmt == "csv":
         path = out / "closed_forms.csv"
         write_csv(path, header, csv_rows)

@@ -39,13 +39,14 @@ def likelihood_ratio_matrix(profile: StationaryProfile) -> np.ndarray:
     """Per-memory-state occupancy ratios between all ordered state pairs.
 
     ``ratio[w, w2, m] = occupancy[w, m] / occupancy[w2, m]``; entries with
-    a zero denominator are flagged ``inf`` rather than raising, so callers
-    can see exactly where a comparison broke down.
+    a zero denominator, or past the float range, are flagged ``inf``
+    rather than raising, so callers can see exactly where a comparison
+    broke down.
     """
     occ = profile.occupancy
     num = occ[:, None, :]
     den = occ[None, :, :]
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(all="ignore"):
         ratio = np.where(den > 0.0, num / den, np.inf)
     return ratio
 
@@ -59,7 +60,9 @@ def spread(
     that decide ``w`` divided by the smallest such ratio on the states
     that decide ``w2``.  Both decision regions must be nonempty —
     otherwise the mechanism is ignoring an action and the spread is
-    undefined (use :func:`detect_ignorance`).
+    undefined (use :func:`detect_ignorance`).  A spread past the float
+    range is ``inf``, and ``nan`` where the ratios it divides are both
+    zero or both infinite.
     """
     decisions = np.asarray(decisions)
     own = np.flatnonzero(decisions == w)
@@ -71,7 +74,8 @@ def spread(
             "(the action is ignored)"
         )
     ratio = likelihood_ratio_matrix(profile)[w, w2]
-    return float(ratio[own].max() / ratio[other].min())
+    with np.errstate(all="ignore"):
+        return float(ratio[own].max() / ratio[other].min())
 
 
 def spread_upper_bound(model: SignalModel, m_size: int, w: int, w2: int) -> float:

@@ -126,7 +126,7 @@ def _exact_result(problem: Problem, transition: np.ndarray, trace) -> SearchResu
     )
     profile = occupancy_profile(problem, probe)
     _, loss, decision = _price(problem.stakes, profile.occupancy)
-    mech = replace(probe, decision=decision)
+    mech = UpdatingMechanism(m_size=m_size, transition=probe.rows, decision=decision)
     return SearchResult(mechanism=mech, loss=float(loss), trace=tuple(trace))
 
 
@@ -201,9 +201,9 @@ def enumerate_deterministic(
 
     Every transition table is scored in one vectorized pass, once per
     canonical form (decisions by pointwise argmax, which is never worse
-    than any fixed decision rule), then the near-ties are re-solved
-    exactly and the first-indexed winner is returned.  The result's
-    ``epsilon_gap`` is 0 *relative to the deterministic class*;
+    than any fixed decision rule), then one table of each near-tied class
+    is re-solved exactly and the first-indexed winner is returned.  The
+    result's ``epsilon_gap`` is 0 *relative to the deterministic class*;
     stochastic mechanisms may still do better.
     """
     n_tables = enumeration_count(problem, m_size)
@@ -223,7 +223,11 @@ def enumerate_deterministic(
     occ = _cesaro_rows(kernels, initial=0).reshape(classes.size, n, m)
     losses = _price(problem.stakes, occ)[1][inverse]
 
+    # Members of a class share one loss: re-solve each tied class once,
+    # through its first raw table, so the first-indexed winner is kept.
     shortlist = np.flatnonzero(losses <= losses.min() + 1e-9)
+    _, first = np.unique(inverse[shortlist], return_index=True)
+    shortlist = shortlist[np.sort(first)]
     best = None
     for idx in shortlist:
         onehot = tables[idx, ..., None] == np.arange(m)

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from famlearn import (
     MechanismBlueprint,
     SignalModel,
+    SparseRows,
     StarConditionError,
     UpdatingMechanism,
     build_from_blueprint,
@@ -64,6 +65,39 @@ def test_mechanism_json_round_trip_is_exact():
     assert np.array_equal(clone.transition, mech.transition)
     assert np.array_equal(clone.decision, mech.decision)
     assert clone.initial_state == mech.initial_state
+
+
+def test_sparse_rows_add_repeated_cells_in_order_and_drop_zeros():
+    rows = SparseRows.from_entries(
+        [1, 0, 1, 1], [2, 0, 2, 0], [0.25, 0.0, 0.5, 1.0], height=3, width=3
+    )
+    assert (rows.indptr.tolist(), rows.index.tolist()) == ([0, 0, 2, 2], [0, 2])
+    assert rows.value.tolist() == [1.0, 0.75]
+    dense = rows.dense()
+    np.testing.assert_array_equal(dense, [[0, 0, 0], [1.0, 0, 0.75], [0, 0, 0]])
+    x = np.array([1.0, 2.0, 3.0])
+    np.testing.assert_array_equal(x @ rows, x @ dense)
+    np.testing.assert_array_equal(rows.block([1], [2, 0]), [[0.75, 1.0]])
+    assert len(rows) == 3 and rows.nnz == 2
+
+
+def test_mechanism_from_sparse_rows_matches_its_dense_tensor():
+    rng = np.random.default_rng(4)
+    tr = rng.dirichlet(np.ones(4), size=(4, 3)) * (rng.random((4, 3, 4)) < 0.6)
+    tr[..., 0] += 1.0 - tr.sum(axis=2)
+    mech = UpdatingMechanism(m_size=4, transition=tr, decision=np.zeros(4))
+    twin = UpdatingMechanism(m_size=4, transition=mech.rows, decision=np.zeros(4))
+    assert twin.alphabet_size == 3
+    assert np.array_equal(twin.transition, tr)
+    assert twin.rows.nnz == np.count_nonzero(tr)
+
+
+def test_mechanism_validates_sparse_rows():
+    rows = SparseRows.from_entries([0, 1, 2, 3], [0, 1, 0, 1], [1.0, 1.0, 1.0, 0.5], 4, 2)
+    with pytest.raises(ValueError, match=r"row \(m=1, s=1\)"):
+        UpdatingMechanism(m_size=2, transition=rows, decision=np.zeros(2))
+    with pytest.raises(ValueError):
+        UpdatingMechanism(m_size=4, transition=rows, decision=np.zeros(4))
 
 
 def test_expected_transition_matrix_mixes_signals():

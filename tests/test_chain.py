@@ -12,9 +12,11 @@ from famlearn import (
     Problem,
     SignalModel,
     SolverError,
+    SparseRows,
     UpdatingMechanism,
     asymptotic_utility,
     build_line,
+    build_noisy_star,
     build_star,
     disagreement_probability,
     expected_transition_matrix,
@@ -26,6 +28,7 @@ from famlearn import (
     recurrent_classes,
     star_occupancy_closed_form,
     stationary,
+    transition_kernel,
     uniform_problem,
     utility_loss,
 )
@@ -203,6 +206,64 @@ def test_sparse_elimination_matches_dense_loop_bitwise(seed):
     q[np.arange(n), (np.arange(n) + 1) % n] += 0.5  # a ring: irreducible
     q /= q.sum(axis=1, keepdims=True)
     assert stationary(q).tolist() == oracles.dense_gth(q).tolist()
+
+
+WEAK = SignalModel.from_rows([[0.51, 0.49], [0.49, 0.51]])
+# Weak signals keep the plain GTH loop of oracles.dense_gth in the float range.
+BUILDER_KERNELS = {
+    "star": (build_star(WEAK, lam=400, delta=2.0), 1),
+    "noisy star": (build_noisy_star(WEAK, lam=300, delta=2.0, gamma=0.3), 0),
+    "line": (build_line(WEAK, 800), 1),
+}
+
+
+@pytest.mark.parametrize("family", BUILDER_KERNELS)
+def test_builder_kernels_solve_sparse_and_match_dense_loop(family):
+    """Stars, noisy stars and lines never fill in, so they stay on the
+    sparse elimination, and it agrees with the textbook dense loop."""
+    mech, w = BUILDER_KERNELS[family]
+    q = transition_kernel(mech, WEAK, w)
+    members = list(range(len(q)))
+    assert chain._eliminate_sparse(q, members) is not None
+    np.testing.assert_allclose(
+        stationary(q), oracles.dense_gth(q.dense()), rtol=1e-13, atol=0.0
+    )
+
+
+def test_filled_in_class_restarts_on_the_dense_loop():
+    rng = np.random.default_rng(3)
+    q = _random_support_kernel(rng, 40, 0.3)
+    q[np.arange(40), (np.arange(40) + 1) % 40] += 0.5
+    q /= q.sum(axis=1, keepdims=True)
+    assert chain._eliminate_sparse(SparseRows.from_dense(q), list(range(40))) is None
+
+
+@pytest.mark.parametrize("band", [5, 59], ids=["banded", "full"])
+def test_filled_in_class_past_the_float_range_matches_its_law(band):
+    """A Metropolis chain for pi_i ~ 1e4**i, with proposals up to ``band``
+    states away: it fills in, so the dense loop and its rescaling run."""
+    n = 60
+    log_pi = np.arange(n) * np.log(1e4)
+    near = np.abs(np.arange(n)[:, None] - np.arange(n)) <= band
+    q = near * np.exp(np.minimum(0.0, log_pi - log_pi[:, None])) / n
+    np.fill_diagonal(q, 0.0)
+    np.fill_diagonal(q, 1.0 - q.sum(axis=1))
+    assert chain._eliminate_sparse(SparseRows.from_dense(q), list(range(n))) is None
+    ref = np.exp(log_pi - log_pi.max())
+    np.testing.assert_allclose(stationary(q), ref / ref.sum(), rtol=1e-12, atol=0.0)
+
+
+def test_star_of_6001_states_matches_high_precision_reference():
+    mass = [[0.6, 0.4], [0.4, 0.6]]
+    model = SignalModel.from_rows(mass)
+    star = build_star(model, lam=3000, delta=5.0)
+    tiny = np.finfo(np.float64).tiny
+    for w in range(2):
+        pi = stationary(transition_kernel(star, model, w))
+        ref = oracles.star_occupancy_mp(mass, 5.0, 3000, w)
+        normal = ref >= tiny
+        np.testing.assert_allclose(pi[normal], ref[normal], rtol=1e-12, atol=0.0)
+        assert np.abs(pi[~normal] - ref[~normal]).max(initial=0.0) <= tiny
 
 
 @pytest.mark.parametrize("lam", [430, 500, 1000])

@@ -4,16 +4,26 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from importlib import resources
 from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import famlearn
 import oracles
-from famlearn import SearchConfig, SignalModel, cli, pair_commitment_problem
+from famlearn import (
+    SearchConfig,
+    SignalModel,
+    UpdatingMechanism,
+    cli,
+    pair_commitment_problem,
+    rademacher_family,
+    star_occupancy_closed_form,
+)
 from famlearn.cli import main
 from famlearn.search import DEFAULT_ENUMERATION_BUDGET
 
@@ -189,6 +199,118 @@ def test_eval_and_sweep_keep_a_loss_below_the_total_rounding_error(tmp_path):
     assert run("sweep", spec, tmp_path, "--format", "json") == 0
     row = json.loads((tmp_path / "sweep.json").read_text())["rows"][0]
     assert row["loss"] == pytest.approx(wrong, rel=1e-9, abs=0.0)
+
+
+def test_eval_of_a_40001_state_star_stays_small(tmp_path):
+    """lam = 20,000: the dense tensor alone would take 25.6 GB."""
+    mass = [[0.51, 0.49], [0.49, 0.51]]
+    lam, delta = 20_000, 2.0
+    model = SignalModel.from_rows(mass)
+    spec = write_spec(
+        tmp_path,
+        {
+            "problem": {"model": model.to_json()},
+            "mechanism": {
+                "blueprint": {"family": "star", "params": {"lam": lam, "delta": delta}}
+            },
+        },
+    )
+    with open(tmp_path / "stderr.txt", "w") as err:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "famlearn.cli", "eval", "--spec", spec, "--out", str(tmp_path)],
+            stdout=subprocess.DEVNULL,
+            stderr=err,
+        )
+        _, status, usage = os.wait4(proc.pid, 0)
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    assert proc.returncode == 0, (tmp_path / "stderr.txt").read_text()
+    decision = np.repeat([0, 0, 1], [1, lam, lam])
+    expected = sum(
+        0.5 * star_occupancy_closed_form(model, None, lam, delta, w)[decision != w].sum()
+        for w in range(2)
+    )
+    payload = json.loads((tmp_path / "eval.json").read_text())
+    assert 0.0 < expected < 1e-12
+    assert payload["loss"] == pytest.approx(expected, rel=1e-9, abs=0.0)
+    assert usage.ru_maxrss < 250 * 1024  # kilobytes
+
+
+def test_eval_sweep_and_disagree_never_build_the_dense_tensor(tmp_path, monkeypatch):
+    def refuse(mech):
+        raise AssertionError("the dense (m, k, m) tensor was built")
+
+    monkeypatch.setattr(UpdatingMechanism, "transition", property(refuse))
+    blueprints = [
+        {"family": "star", "params": {"lam": 12, "delta": 5.0}},
+        {"family": "noisy_star", "params": {"lam": 12, "delta": 5.0, "gamma": 0.2}},
+        {"family": "line", "params": {"m_size": 12}},
+    ]
+    problem = {"model": BINARY_JSON}
+    for i, blueprint in enumerate(blueprints):
+        spec = {"problem": problem, "mechanism": {"blueprint": blueprint}}
+        assert run("eval", write_spec(tmp_path, spec, f"eval{i}.json"), tmp_path) == 0
+    for i, axis in enumerate(({"lam": [2, 30]}, {"gamma": [0.0, 0.5]})):
+        spec = {"problem": problem, "mechanism": {"blueprint": blueprints[1]}, "sweep": axis}
+        assert run("sweep", write_spec(tmp_path, spec, f"sweep{i}.json"), tmp_path) == 0
+    agents = [{"blueprint": blueprints[2]}, {"blueprint": blueprints[0]}]
+    spec = write_spec(tmp_path, {"problem": problem, "agents": agents}, "pair.json")
+    assert run("disagree", spec, tmp_path) == 0
+
+
+def test_eval_of_a_long_ladder_reports_an_overflowing_spread_as_null(tmp_path):
+    """With RuntimeWarnings as errors, an overflow in ``spread`` would raise."""
+    spec = write_spec(
+        tmp_path,
+        {
+            "problem": {"model": {"states": 2, "alphabet": 2, "mass": [[0.6, 0.4], [0.4, 0.6]]}},
+            "mechanism": {"blueprint": {"family": "line", "params": {"m_size": 1000}}},
+        },
+    )
+    assert run("eval", spec, tmp_path) == 0
+    payload = json.loads((tmp_path / "eval.json").read_text())
+    assert payload["diagnostics"]["spreads"] == [[1.0, None], [None, 1.0]]
+
+
+@st.composite
+def extreme_specs(draw):
+    """An eval or sweep spec with depth, drift, noise or world size at an extreme."""
+    n = draw(st.sampled_from([2, 1, 3, 8]))
+    if n == 2 and draw(st.booleans()):
+        p = draw(st.floats(0.5 + 1e-12, 1.0 - 1e-12))
+        model = SignalModel.from_rows([[p, 1.0 - p], [1.0 - p, p]])
+    else:
+        model = rademacher_family(n)
+    # rademacher_family(8) has 256 signals; keep its chains small.
+    cap = 1000 if model.alphabet_size <= 8 else 6
+    depth = st.one_of(st.just(cap), st.integers(1, cap))
+    delta = st.one_of(st.just(1.0 + 1e-12), st.floats(1.0 + 1e-12, 50.0))
+    gamma = st.one_of(st.just(1.0 - 1e-12), st.floats(0.0, 1.0 - 1e-12))
+    family = draw(st.sampled_from(["star", "noisy_star", "line"]))
+    if family == "line":
+        params = {"m_size": draw(depth.map(lambda m: m + 1))}
+    else:
+        params = {"lam": draw(depth), "delta": draw(delta)}
+        if family == "noisy_star":
+            params["gamma"] = draw(gamma)
+    spec = {
+        "problem": {"model": model.to_json()},
+        "mechanism": {"blueprint": {"family": family, "params": params}},
+    }
+    if family != "line" and draw(st.booleans()):
+        axis = "gamma" if family == "noisy_star" and draw(st.booleans()) else "lam"
+        values = draw(st.lists(gamma if axis == "gamma" else depth, min_size=1, max_size=2))
+        spec["sweep"] = {axis: values}
+        return "sweep", spec
+    return "eval", spec
+
+
+@settings(max_examples=60, deadline=None)
+@given(extreme_specs())
+def test_eval_and_sweep_exit_cleanly_at_the_extremes(case):
+    command, spec = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write_spec(Path(tmp), spec)
+        assert run(command, path, Path(tmp) / "out") in (0, 1, 2)
 
 
 def test_eval_inline_mechanism_requires_model(tmp_path):
@@ -467,6 +589,27 @@ def test_closed_forms_star_occupancy(tmp_path):
 def test_closed_forms_unknown_name(tmp_path):
     spec = write_spec(tmp_path, {"closed_form": {"name": "mystery"}})
     assert run("closed-forms", spec, tmp_path) == 2
+
+
+@pytest.mark.parametrize(
+    ("section", "missing"),
+    [
+        ({"name": "pair_commitment", "nu": 0.3}, "tau"),
+        ({"name": "symmetric", "n": 6}, "info"),
+        ({"name": "star", "lam": 3, "delta": 5.0}, "w"),
+    ],
+    ids=["pair_commitment", "symmetric", "star"],
+)
+def test_closed_form_missing_key_is_usage_exit(tmp_path, section, missing):
+    spec = write_spec(tmp_path, {"problem": {"model": BINARY_JSON}, "closed_form": section})
+    proc = subprocess.run(
+        [sys.executable, "-m", "famlearn.cli", "closed-forms", "--spec", spec, "--out", str(tmp_path)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2
+    assert "error:" in proc.stderr and f"'{missing}'" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 # --- search -----------------------------------------------------------------

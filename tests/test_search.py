@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from famlearn import search
 from famlearn import (
     BudgetExceededError,
     Problem,
@@ -176,6 +177,21 @@ def test_enumerate_returns_the_frozen_winner(name):
     assert result.mechanism.transition.argmax(axis=2).tolist() == table
     assert result.mechanism.decision.tolist() == decision
     assert result.loss == pytest.approx(loss, abs=1e-12)
+
+
+def test_enumerate_resolves_each_tied_class_once(monkeypatch):
+    """Binary m = 4 ties 24 raw tables in 4 canonical classes."""
+    calls = []
+    exact = search._exact_result
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return exact(*args, **kwargs)
+
+    monkeypatch.setattr(search, "_exact_result", counted)
+    result = enumerate_deterministic(uniform_problem(BINARY), 4)
+    assert len(calls) == 4
+    assert result.loss == pytest.approx(1 / 17, abs=1e-12)
 
 
 @settings(max_examples=25, deadline=None)
