@@ -1,7 +1,8 @@
 """Best achievable loss as a function of the memory budget.
 
-Runs exhaustive enumeration over deterministic tables where the table
-count stays below the budget guard, and seeded annealing everywhere,
+Runs exhaustive enumeration over deterministic tables where the count
+of canonical tables (the ``tables`` column) stays below the budget guard,
+so m = 1-5 are enumerated, and seeded annealing everywhere,
 writing one CSV row per memory size.  The annealing column shows how
 much of the enumeration optimum the heuristic recovers (and, for larger
 memories, continues past the point where enumeration becomes infeasible).

@@ -74,6 +74,17 @@ def _parse(kind, obj: dict, where: str):
         raise SpecFormatError(f"{where} has no key {exc.args[0]!r}") from None
 
 
+def _read_json(path, what: str):
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise SpecFormatError(f"cannot read {what} {path}: {exc}") from exc
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise SpecFormatError(f"{what} {path} is not valid JSON: {exc}") from exc
+
+
 # ---------------------------------------------------------------------------
 # spec parsing
 # ---------------------------------------------------------------------------
@@ -90,27 +101,10 @@ class ExperimentSpec:
 
     @classmethod
     def load(cls, path: str) -> "ExperimentSpec":
-        spec_path = Path(path)
-        try:
-            text = spec_path.read_text()
-        except OSError as exc:
-            raise SpecFormatError(f"cannot read spec file {path}: {exc}") from exc
-        try:
-            raw = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise SpecFormatError(f"spec file {path} is not valid JSON: {exc}") from exc
-        return cls(raw, spec_path.parent)
+        return cls(_read_json(path, "spec file"), Path(path).parent)
 
     def _load_ref(self, name: str) -> dict:
-        path = self.base_dir / name
-        try:
-            text = path.read_text()
-        except OSError as exc:
-            raise SpecFormatError(f"cannot read referenced file {path}: {exc}") from exc
-        try:
-            return json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise SpecFormatError(f"referenced file {path} is not valid JSON: {exc}") from exc
+        return _read_json(self.base_dir / name, "referenced file")
 
     def check_command(self, invoked: str) -> None:
         tag = self.raw.get("command")

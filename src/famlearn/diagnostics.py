@@ -27,6 +27,7 @@ from .automata import (
     check_star_condition,
 )
 from .chain import Problem, StationaryProfile
+from .errors import DomainError
 from .signals import Lottery, SignalModel, confirmatory_lotteries, sup_likelihood_ratio
 
 #: Occupancy mass below which an action counts as abandoned.
@@ -274,6 +275,8 @@ def star_occupancy_closed_form(
         raise ValueError(f"branch depth must be >= 1, got {lam}")
     if not delta > 1.0:
         raise ValueError(f"star mechanisms need delta > 1, got {delta}")
+    if model.n_states < 2:
+        raise ValueError("star mechanism needs at least 2 states of the world")
     if not 0 <= w < model.n_states:
         raise ValueError(f"state {w} out of range")
     if lotteries is None:
@@ -409,11 +412,14 @@ def symmetric_utilities(n: int, info: float):
         raise ValueError(f"need an even n >= 4, got {n}")
     if not info > 1.0:
         raise ValueError(f"informativeness must exceed 1, got {info}")
-    u_full = info / (n + info - 1.0)
-    bulk = n + 2.0 * info - 4.0
-    u_ignorant = info**2 * bulk / (2.0 * info**2 * bulk + (n - 2.0) ** 2)
-    lhs = (n + (info - 4.0) / 2.0) ** 2
-    rhs = (4.0 + info * (2.0 * info - 4.0) * (info + 1.0)) / (info - 1.0) + (
-        info - 4.0
-    ) ** 2 / 4.0
+    try:
+        u_full = info / (n + info - 1.0)
+        bulk = n + 2.0 * info - 4.0
+        u_ignorant = bulk / (2.0 * bulk + ((n - 2.0) / info) ** 2)
+        lhs = (n + (info - 4.0) / 2.0) ** 2
+        rhs = (4.0 + info * (2.0 * info - 4.0) * (info + 1.0)) / (info - 1.0) + (
+            info - 4.0
+        ) ** 2 / 4.0
+    except OverflowError as exc:
+        raise DomainError(f"symmetric utilities overflow a float at info={info:g}") from exc
     return u_full, u_ignorant, bool(lhs > rhs)

@@ -48,11 +48,12 @@ class SolverError(DomainError):
 
 
 class BudgetExceededError(DomainError):
-    """An exhaustive enumeration would exceed the configured candidate budget."""
+    """An enumeration would pass its budget: it has at least ``count`` candidates."""
 
     def __init__(self, count: int, budget: int):
         self.count = count
         self.budget = budget
         super().__init__(
-            f"enumeration would visit {count} candidates, over the budget of {budget}"
+            f"enumeration would score at least {count} tables, "
+            f"over the budget of {budget}"
         )

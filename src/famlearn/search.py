@@ -4,8 +4,9 @@ The true optimum over stochastic mechanisms is an infimum that need not
 be attained, so nothing here ever claims it.  Instead:
 
 * :func:`enumerate_deterministic` brute-forces every mechanism whose
-  transitions are deterministic, which is exact *within that class* and
-  small enough to be a trustworthy reference on tiny instances;
+  transitions are deterministic, one canonical table per relabelling
+  class, which is exact *within that class* and a trustworthy reference
+  on small instances;
 * :func:`local_search` runs restarted simulated annealing over the full
   stochastic class, reporting the best loss found and an improvement
   trace;
@@ -28,10 +29,13 @@ from .automata import UpdatingMechanism
 from .chain import Problem, _price, occupancy_profile
 from .errors import BudgetExceededError
 
-#: Enumeration refuses instances with more transition tables than this.
+#: Enumeration refuses instances with more canonical tables than this:
+#: binary m = 5 (166,152) fits, binary m = 6 and ternary m = 4 do not.
 DEFAULT_ENUMERATION_BUDGET = 1_000_000
 #: Doublings of the averaging operator; reaches horizon 2**this.
 _CESARO_DOUBLINGS = 60
+#: Kernels scored at once by enumeration; bounds its working memory.
+_SCORE_KERNELS = 2**14
 
 
 @dataclass(frozen=True)
@@ -64,21 +68,6 @@ class SearchConfig:
             raise ValueError("initial_temperature must be positive")
         if not 0.0 < self.cooling < 1.0:
             raise ValueError(f"cooling must lie in (0, 1), got {self.cooling}")
-
-    def to_json(self) -> dict:
-        return {
-            "m_size": self.m_size,
-            "restarts": self.restarts,
-            "iterations": self.iterations,
-            "step_scale": self.step_scale,
-            "initial_temperature": self.initial_temperature,
-            "cooling": self.cooling,
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "SearchConfig":
-        return cls(**{k: obj[k] for k in obj})
 
 
 @dataclass(frozen=True)
@@ -146,52 +135,64 @@ def _cesaro_rows(kernels: np.ndarray, initial: int) -> np.ndarray:
     row = np.zeros(kernels.shape[:-1])
     row[:, initial] = 1.0
     power = kernels.copy()
+    ones = np.ones((kernels.shape[-1], 1))
     for _ in range(_CESARO_DOUBLINGS):
         row = 0.5 * (row + (row[:, None, :] @ power)[:, 0, :])
         power = power @ power
         # Repeated squaring squares the row-sum error along with the
         # matrix, so renormalise every round; otherwise the drift grows
         # like (1 + eps)**(2**k) and wrecks the later horizons.
-        row /= row.sum(axis=-1, keepdims=True)
-        power /= power.sum(axis=-1, keepdims=True)
+        row /= row @ ones
+        power /= power @ ones
     return row
 
 
-def _canonical_codes(tables: np.ndarray) -> np.ndarray:
-    """Index of each table's canonical form among the raw tables.
+def _canonical_tables(m_size: int, alphabet: int) -> np.ndarray:
+    """Every breadth-first canonical table, in ascending code order.
 
-    The canonical form relabels states in breadth-first order from state 0,
-    scanning signals in order, and zeroes the rows of unreachable states
-    (Almeida, Moreira & Reis, *Theor. Comput. Sci.* 387, 2007); neither
-    changes the occupancy seen from state 0.  Read as base-``m`` digits,
-    its entries give its own index in the enumeration order.
+    Code position ``p`` is the successor of state ``p // alphabet`` on
+    signal ``p % alphabet``: a state already found or the next new one,
+    and 0 in the row of a state never found (Almeida, Moreira & Reis,
+    *Theor. Comput. Sci.* 387, 2007).  Prefixes grow in digit order.
     """
-    n_tables, m, alphabet = tables.shape
-    rows = np.arange(n_tables)
-    label = np.full((n_tables, m), -1)
-    label[:, 0] = 0
-    order = np.zeros((n_tables, m), dtype=np.int64)
-    found = np.ones(n_tables, dtype=np.int64)
-    codes = np.zeros(n_tables, dtype=np.int64)
-    for pos in range(m * alphabet):
-        state, signal = divmod(pos, alphabet)
-        live = state < found
-        target = tables[rows, order[:, state], signal]
-        new = live & (label[rows, target] < 0)
-        label[rows[new], target[new]] = found[new]
-        order[rows[new], found[new]] = target[new]
-        found += new
-        codes = codes * m + np.where(live, label[rows, target], 0)
-    return codes
+    tables = np.zeros((1, 0), dtype=np.int64)
+    found = np.ones(1, dtype=np.int64)
+    for pos in range(m_size * alphabet):
+        live = pos // alphabet < found
+        width = np.where(live, np.minimum(found + 1, m_size), 1)
+        parent = np.repeat(np.arange(found.size), width)
+        digit = np.arange(parent.size) - np.repeat(np.cumsum(width) - width, width)
+        tables = np.column_stack([tables[parent], digit])
+        found = found[parent] + (digit == found[parent])
+    return tables.reshape(-1, m_size, alphabet)
+
+
+def _count_tables(m_size: int, alphabet: int, stop_above: float = math.inf) -> int:
+    """Canonical tables, counted by prefixes per number of states found.
+
+    Prefix counts never fall as prefixes grow: counting stops past ``stop_above``.
+    """
+    prefixes = [0, 1]  # prefixes[f]: prefixes that have found f states
+    for pos in range(m_size * alphabet):
+        state = pos // alphabet
+        prefixes.append(0)
+        # A live prefix (f > state) keeps f on any of f found states and
+        # reaches f + 1 on the new one; a finished prefix only writes 0.
+        for f in range(min(m_size, pos + 2), state, -1):
+            prefixes[f] = prefixes[f] * f + (prefixes[f - 1] if f - 1 > state else 0)
+        if sum(prefixes) > stop_above:
+            break
+    return sum(prefixes)
 
 
 def enumeration_count(problem: Problem, m_size: int) -> int:
-    """Deterministic transition tables that enumeration scores.
+    """Canonical deterministic tables that enumeration scores.
 
-    Decision rules are not enumerated: each table takes its pointwise
-    optimal rule.
+    One table stands for each class of relabellings from state 0, so
+    binary m = 4 scores 5,477 tables, not 4**8.  Decision rules are not
+    enumerated: each table takes its pointwise optimal rule.
     """
-    return m_size ** (m_size * problem.model.alphabet_size)
+    return _count_tables(m_size, problem.model.alphabet_size)
 
 
 def enumerate_deterministic(
@@ -199,39 +200,32 @@ def enumerate_deterministic(
 ) -> SearchResult:
     """Best mechanism with deterministic transitions, by brute force.
 
-    Every transition table is scored in one vectorized pass, once per
-    canonical form (decisions by pointwise argmax, which is never worse
-    than any fixed decision rule), then one table of each near-tied class
-    is re-solved exactly and the first-indexed winner is returned.  The
+    Every canonical transition table, one per relabelling class, is scored
+    in vectorized slices (decisions by pointwise argmax, which is never
+    worse than any fixed decision rule), then each near-tied table is
+    re-solved exactly and the lowest-coded winner is returned.  The
     result's ``epsilon_gap`` is 0 *relative to the deterministic class*;
     stochastic mechanisms may still do better.
     """
-    n_tables = enumeration_count(problem, m_size)
+    if m_size < 1:
+        raise ValueError(f"m_size must be >= 1, got {m_size}")
+    m, n, mass = m_size, problem.n_states, problem.model.mass
+    n_tables = _count_tables(m, mass.shape[1], stop_above=budget)
     if n_tables > budget:
         raise BudgetExceededError(n_tables, budget)
-    model = problem.model
-    m, alphabet, n = m_size, model.alphabet_size, problem.n_states
 
-    # Table t holds the base-m digits of t, most significant first.
-    tables = np.indices((m,) * (m * alphabet)).reshape(m * alphabet, -1).T
-    tables = tables.reshape(n_tables, m, alphabet)
+    # Score in slices of about _SCORE_KERNELS kernels to bound memory.
+    onehot = _canonical_tables(m, mass.shape[1])[..., None] == np.arange(m)
+    losses = np.empty(len(onehot))
+    step = max(1, _SCORE_KERNELS // n)
+    for lo in range(0, len(onehot), step):
+        kernels = np.einsum("ws,tmsj->twmj", mass, onehot[lo : lo + step])
+        occ = _cesaro_rows(kernels.reshape(-1, m, m), initial=0).reshape(-1, n, m)
+        losses[lo : lo + step] = _price(problem.stakes, occ)[1]
 
-    # Score each canonical table once and hand its loss to its whole class.
-    classes, inverse = np.unique(_canonical_codes(tables), return_inverse=True)
-    onehot = tables[classes, ..., None] == np.arange(m)
-    kernels = np.einsum("ws,tmsj->twmj", model.mass, onehot).reshape(-1, m, m)
-    occ = _cesaro_rows(kernels, initial=0).reshape(classes.size, n, m)
-    losses = _price(problem.stakes, occ)[1][inverse]
-
-    # Members of a class share one loss: re-solve each tied class once,
-    # through its first raw table, so the first-indexed winner is kept.
-    shortlist = np.flatnonzero(losses <= losses.min() + 1e-9)
-    _, first = np.unique(inverse[shortlist], return_index=True)
-    shortlist = shortlist[np.sort(first)]
     best = None
-    for idx in shortlist:
-        onehot = tables[idx, ..., None] == np.arange(m)
-        candidate = _exact_result(problem, onehot, trace=())
+    for idx in np.flatnonzero(losses <= losses.min() + 1e-9):
+        candidate = _exact_result(problem, onehot[idx], trace=())
         if best is None or candidate.loss < best.loss - 1e-15:
             best = candidate
     return replace(best, trace=((0, best.loss),), epsilon_gap=0.0)

@@ -221,3 +221,25 @@ def canonical_table(table) -> tuple:
     for state, new in label.items():
         canon[new] = tuple(label[t] for t in table[state])
     return tuple(canon)
+
+
+def canonical_strings(m_size: int, alphabet: int):
+    """Every breadth-first canonical table with at most ``m_size`` states.
+
+    A plain recursion over flat codes: position ``p`` is the successor of
+    state ``p // alphabet`` on signal ``p % alphabet``, either a state
+    already found or the next new one, and 0 for a state never found.
+    Codes come out in lexicographic order; a code's state count is its
+    largest entry plus one.
+    """
+
+    def grow(prefix, found):
+        if len(prefix) == m_size * alphabet:
+            yield prefix
+        elif len(prefix) // alphabet >= found:
+            yield from grow(prefix + (0,), found)
+        else:
+            for digit in range(min(found + 1, m_size)):
+                yield from grow(prefix + (digit,), found + (digit == found))
+
+    yield from grow((), 1)

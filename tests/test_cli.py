@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from importlib import resources
 from pathlib import Path
 
@@ -19,10 +20,13 @@ from famlearn import (
     SearchConfig,
     SignalModel,
     UpdatingMechanism,
+    build_line,
     cli,
     pair_commitment_problem,
     rademacher_family,
     star_occupancy_closed_form,
+    uniform_problem,
+    utility_loss,
 )
 from famlearn.cli import main
 from famlearn.search import DEFAULT_ENUMERATION_BUDGET
@@ -271,15 +275,19 @@ def test_eval_of_a_long_ladder_reports_an_overflowing_spread_as_null(tmp_path):
     assert payload["diagnostics"]["spreads"] == [[1.0, None], [None, 1.0]]
 
 
-@st.composite
-def extreme_specs(draw):
-    """An eval or sweep spec with depth, drift, noise or world size at an extreme."""
+def draw_extreme_model(draw):
+    """A symmetric binary model, or a Rademacher family up to 8 worlds."""
     n = draw(st.sampled_from([2, 1, 3, 8]))
     if n == 2 and draw(st.booleans()):
         p = draw(st.floats(0.5 + 1e-12, 1.0 - 1e-12))
-        model = SignalModel.from_rows([[p, 1.0 - p], [1.0 - p, p]])
-    else:
-        model = rademacher_family(n)
+        return SignalModel.from_rows([[p, 1.0 - p], [1.0 - p, p]])
+    return rademacher_family(n)
+
+
+@st.composite
+def extreme_specs(draw):
+    """An eval or sweep spec with depth, drift, noise or world size at an extreme."""
+    model = draw_extreme_model(draw)
     # rademacher_family(8) has 256 signals; keep its chains small.
     cap = 1000 if model.alphabet_size <= 8 else 6
     depth = st.one_of(st.just(cap), st.integers(1, cap))
@@ -311,6 +319,69 @@ def test_eval_and_sweep_exit_cleanly_at_the_extremes(case):
     with tempfile.TemporaryDirectory() as tmp:
         path = write_spec(Path(tmp), spec)
         assert run(command, path, Path(tmp) / "out") in (0, 1, 2)
+
+
+@st.composite
+def extreme_command_specs(draw):
+    """A search, disagree or closed-forms spec at an extreme size or value,
+    with the artifact format to write."""
+    model = draw_extreme_model(draw)
+    problem = {"model": model.to_json()}
+    kind = draw(st.sampled_from(["enumerate", "anneal", "disagree", "closed-forms"]))
+    if kind == "enumerate":
+        section = {
+            "method": "enumerate",
+            "m_size": draw(st.sampled_from([1, 2, 3, 1000])),
+            "budget": draw(st.one_of(st.just(1), st.integers(1, 10_000))),
+        }
+        return "search", {"problem": problem, "search": section}, "json"
+    if kind == "anneal":
+        section = {
+            "method": "anneal",
+            "m_size": draw(st.one_of(st.just(50), st.integers(1, 50))),
+            "restarts": 1,
+            "iterations": draw(st.integers(1, 5)),
+        }
+        return "search", {"problem": problem, "search": section}, "json"
+    delta = st.one_of(st.just(1.0 + 1e-12), st.floats(1.0 + 1e-12, 50.0))
+    if kind == "disagree":
+        # pair chains multiply the two agents' states; keep both small
+        cap = 6 if model.alphabet_size <= 8 else 2
+        agents = []
+        for _ in range(2):
+            family = draw(st.sampled_from(["star", "noisy_star", "line"]))
+            depth = draw(st.integers(1, cap))
+            if family == "line":
+                params = {"m_size": depth + 1}
+            else:
+                params = {"lam": depth, "delta": draw(delta)}
+            if family == "noisy_star":
+                params["gamma"] = draw(st.floats(0.0, 1.0 - 1e-12))
+            agents.append({"blueprint": {"family": family, "params": params}})
+        return "disagree", {"problem": problem, "agents": agents}, "json"
+    name = draw(st.sampled_from(["pair_commitment", "symmetric", "star"]))
+    if name == "pair_commitment":
+        keys = ("nu", "tau", "ups")
+        values = [draw(st.floats(0.0, 0.34)), draw(st.floats(0.0, 50.0)), draw(st.floats(0.0, 100.0))]
+    elif name == "symmetric":
+        keys = ("n", "info")
+        values = [draw(st.integers(3, 10**6)), draw(st.floats(1.0, 1e300))]
+    else:
+        keys = ("lam", "delta", "w")
+        lam = draw(st.one_of(st.just(1000), st.integers(1, 1000)))
+        values = [lam, draw(delta), draw(st.integers(0, model.n_states))]
+    section = {"name": name, **dict(zip(keys, values))}
+    spec = {"problem": problem, "closed_form": section}
+    return "closed-forms", spec, draw(st.sampled_from(["json", "csv"]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(extreme_command_specs())
+def test_search_disagree_and_closed_forms_exit_cleanly_at_the_extremes(case):
+    command, spec, fmt = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write_spec(Path(tmp), spec)
+        assert run(command, path, Path(tmp) / "out", "--format", fmt) in (0, 1, 2)
 
 
 def test_eval_inline_mechanism_requires_model(tmp_path):
@@ -642,6 +713,49 @@ def test_search_budget_exceeded_is_domain_exit(tmp_path):
         },
     )
     assert run("search", spec, tmp_path) == 1
+
+
+@pytest.mark.parametrize("model", [SignalModel.from_json(BINARY_JSON), rademacher_family(8)])
+def test_search_far_past_the_budget_is_a_prompt_domain_exit(tmp_path, capsys, model):
+    """Counting stops at the budget, so a huge memory is refused at once."""
+    spec = write_spec(
+        tmp_path,
+        {"problem": {"model": model.to_json()}, "search": {"method": "enumerate", "m_size": 1000}},
+    )
+    start = time.perf_counter()
+    assert run("search", spec, tmp_path) == 1
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"budget of {DEFAULT_ENUMERATION_BUDGET}" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("m_size", [0, -1])
+@pytest.mark.parametrize("command", ["search", "sweep"])
+def test_empty_memory_is_domain_exit(tmp_path, capsys, command, m_size):
+    spec = write_spec(
+        tmp_path,
+        {
+            "problem": {"model": BINARY_JSON},
+            "search": {"method": "enumerate", "m_size": m_size},
+            "sweep": {"m": [m_size]},
+        },
+    )
+    assert run(command, spec, tmp_path) == 1
+    assert f"error: m_size must be >= 1, got {m_size}" in capsys.readouterr().err
+
+
+def test_search_enumerates_binary_memory_five(tmp_path):
+    """166,152 canonical tables fit the default budget; the ladder wins."""
+    spec = write_spec(
+        tmp_path,
+        {"problem": {"model": BINARY_JSON}, "search": {"method": "enumerate", "m_size": 5}},
+    )
+    assert run("search", spec, tmp_path) == 0
+    loss = json.loads((tmp_path / "search.json").read_text())["loss"]
+    model = SignalModel.from_json(BINARY_JSON)
+    assert loss == pytest.approx(13 / 341, abs=1e-12)
+    assert loss == pytest.approx(utility_loss(uniform_problem(model), build_line(model, 5)), abs=1e-12)
 
 
 def test_search_unknown_method(tmp_path):

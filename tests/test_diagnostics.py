@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from famlearn import (
+    DomainError,
     Problem,
     SignalModel,
     StationaryProfile,
@@ -345,6 +346,21 @@ def test_symmetric_utilities_no_crossover_when_small():
     assert full == pytest.approx(4 / 7, abs=1e-12)
     assert ignorant == pytest.approx(128 / 260, abs=1e-12)
     assert crossed is False
+
+
+def test_star_closed_form_rejects_a_single_world():
+    """A one-world star has no branch ratio: 0/0, then NaN everywhere."""
+    with pytest.raises(ValueError, match="at least 2 states"):
+        star_occupancy_closed_form(SignalModel.from_rows([[1 / 3, 2 / 3]]), None, 3, 2.0, 0)
+
+
+def test_symmetric_utilities_at_a_huge_informativeness():
+    """Below about 1.3e154 the utilities stay finite; past it the squares
+    overflow, which is a domain error, not a raw OverflowError."""
+    full, ignorant, crossed = symmetric_utilities(4, 1e153)
+    assert (full, ignorant, crossed) == (1.0, 0.5, False)
+    with pytest.raises(DomainError, match="overflow"):
+        symmetric_utilities(4, 1e200)
 
 
 def test_symmetric_solver_approaches_closed_form():

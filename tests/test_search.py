@@ -23,7 +23,7 @@ from famlearn import (
     uniform_problem,
     utility_loss,
 )
-from famlearn.search import _canonical_codes, _cesaro_rows
+from famlearn.search import _canonical_tables, _cesaro_rows, _count_tables
 
 BINARY = SignalModel.from_rows([[0.8, 0.2], [0.2, 0.8]])
 
@@ -40,10 +40,24 @@ def skewed_problem():
     )
 
 
+@pytest.mark.parametrize(
+    ("alphabet", "counts"),
+    [(2, [1, 12, 216, 5248, 160675]), (3, [1, 56, 7965])],
+)
+def test_canonical_automata_counts_match_recursive_oracle(alphabet, counts):
+    """Initially connected automata with exactly n states, n = 1, 2, ..."""
+    for n, count in enumerate(counts, start=1):
+        codes = oracles.canonical_strings(n, alphabet)
+        assert sum(max(code) == n - 1 for code in codes) == count
+
+
 def test_enumeration_count_formula():
-    """Tables scored, m**(m*k); decision rules are optimised, not enumerated."""
-    assert enumeration_count(uniform_problem(BINARY), 2) == 2**4
-    assert enumeration_count(skewed_problem(), 3) == 3**9
+    """Canonical tables scored: running sums of the exact-n counts above."""
+    binary = [1, 13, 229, 5477, 166152, 6097692]
+    ternary = [1, 57, 8022, 2136086]
+    for problem, counts in [(uniform_problem(BINARY), binary), (skewed_problem(), ternary)]:
+        for m_size, count in enumerate(counts, start=1):
+            assert enumeration_count(problem, m_size) == count
 
 
 def test_enumeration_budget_guard():
@@ -51,7 +65,8 @@ def test_enumeration_budget_guard():
     with pytest.raises(BudgetExceededError) as exc:
         enumerate_deterministic(prob, 4, budget=1000)
     assert exc.value.budget == 1000
-    assert exc.value.count == enumeration_count(prob, 4)
+    assert 1000 < exc.value.count <= enumeration_count(prob, 4)
+    assert f"at least {exc.value.count} tables" in str(exc.value)
 
 
 def test_enumerate_binary_confirmation():
@@ -128,18 +143,13 @@ FROZEN_WINNERS = {
 @pytest.mark.parametrize(
     ("m_size", "alphabet", "classes"), [(3, 2, 229), (3, 3, 8022), (4, 2, 5477)]
 )
-def test_canonical_codes_match_breadth_first_oracle(m_size, alphabet, classes):
-    raw = list(product(range(m_size), repeat=m_size * alphabet))
-    tables = np.array(raw).reshape(-1, m_size, alphabet)
-    codes = _canonical_codes(tables)
-    digits = [
-        sum(d * m_size**p for p, d in enumerate(reversed(np.ravel(canon))))
-        for canon in (oracles.canonical_table(t.tolist()) for t in tables)
-    ]
-    assert codes.tolist() == digits
-    assert np.unique(codes).size == classes
-    # a canonical table is its own class representative
-    assert (codes[np.unique(codes)] == np.unique(codes)).all()
+def test_canonical_tables_match_breadth_first_oracle(m_size, alphabet, classes):
+    """The generated tables are the distinct relabelled raw tables, sorted."""
+    raw = product(range(m_size), repeat=m_size * alphabet)
+    forms = {oracles.canonical_table(np.reshape(t, (m_size, alphabet)).tolist()) for t in raw}
+    tables = _canonical_tables(m_size, alphabet)
+    assert [tuple(map(tuple, t)) for t in tables.tolist()] == sorted(forms)
+    assert len(tables) == classes == _count_tables(m_size, alphabet)
 
 
 # periodic, reducible and absorbing kernels, which an eigenvector solve
