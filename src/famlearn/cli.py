@@ -74,6 +74,21 @@ def _parse(kind, obj: dict, where: str):
         raise SpecFormatError(f"{where} has no key {exc.args[0]!r}") from None
 
 
+def _number(value, name: str, integral: bool = False):
+    """A number from the spec, refusing any other JSON type instead of coercing it.
+
+    ``true`` is not a number, and an integral knob takes only integral
+    values (``2.0`` is read as 2).
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise SpecFormatError(f"{name} must be a number, got {json.dumps(value)}")
+    if not integral:
+        return float(value)
+    if isinstance(value, float) and not value.is_integer():
+        raise SpecFormatError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _read_json(path, what: str):
     try:
         text = Path(path).read_text()
@@ -117,8 +132,13 @@ class ExperimentSpec:
         if override is not None:
             return override
         if "seed" in self.raw:
-            return int(self.raw["seed"])
-        return int(self.raw.get("search", {}).get("seed", 0))
+            return _number(self.raw["seed"], "seed", integral=True)
+        section = self.raw.get("search", {})
+        return _number(section.get("seed", 0), "search.seed", integral=True)
+
+    def search_budget(self) -> int:
+        budget = self.raw.get("search", {}).get("budget", DEFAULT_ENUMERATION_BUDGET)
+        return _number(budget, "search.budget", integral=True)
 
     def model_optional(self) -> SignalModel | None:
         section = self.raw.get("problem", self.raw)
@@ -219,6 +239,11 @@ def write_json(path: Path, obj) -> None:
 
 
 def write_csv(path: Path, header, rows) -> None:
+    rows = list(rows)
+    # As in write_json: refuse NaN and inf (exit 1) rather than write them.
+    bad = [x for row in rows for x in row if isinstance(x, float) and not np.isfinite(x)]
+    if bad:
+        raise ValueError(f"cannot write the non-finite value {bad[0]!r} to {path.name}")
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(header)
@@ -237,7 +262,9 @@ def _fmt(x: float) -> str:
 
 def cmd_validate(spec: ExperimentSpec, out: Path, seed: int, fmt: str) -> int:
     model = spec.model()
-    varsigma = float(spec.raw.get("varsigma", 0.0))
+    varsigma = _number(spec.raw.get("varsigma", 0.0), "varsigma")
+    if not np.isfinite(varsigma):
+        raise SpecFormatError(f"varsigma must be finite, got {varsigma!r}")
     report = validate(model, varsigma)
     write_json(out / "validate.json", report.to_json())
     status = "ok" if report.ok else "FAIL"
@@ -285,8 +312,7 @@ def cmd_sweep(spec: ExperimentSpec, out: Path, seed: int, fmt: str) -> int:
     points = []
     if axis == "m":
         problem = spec.problem()
-        section = spec.raw.get("search", {})
-        budget = int(section.get("budget", DEFAULT_ENUMERATION_BUDGET))
+        budget = spec.search_budget()
         for m in values:
             result = enumerate_deterministic(problem, int(m), budget=budget)
             points.append((int(m), result.mechanism))
@@ -411,25 +437,31 @@ def cmd_search(spec: ExperimentSpec, out: Path, seed: int, fmt: str) -> int:
     section = spec.raw.get("search")
     if not isinstance(section, dict) or "m_size" not in section:
         raise SpecFormatError("search needs a search section with m_size")
+    m_size = _number(section["m_size"], "search.m_size", integral=True)
     problem = spec.problem()
     method = section.get("method", "anneal")
     if method == "enumerate":
-        budget = int(section.get("budget", DEFAULT_ENUMERATION_BUDGET))
-        result = enumerate_deterministic(problem, int(section["m_size"]), budget=budget)
+        budget = spec.search_budget()
+        result = enumerate_deterministic(problem, m_size, budget=budget)
     elif method == "anneal":
         # Knobs the spec sets take the type of their default; the rest keep it.
         knobs = {
-            f.name: type(f.default)(section[f.name])
+            f.name: _number(
+                section[f.name], f"search.{f.name}", integral=isinstance(f.default, int)
+            )
             for f in fields(SearchConfig)
             if f.name in section and f.name not in ("m_size", "seed")
         }
-        config = SearchConfig(m_size=int(section["m_size"]), seed=seed, **knobs)
+        config = SearchConfig(m_size=m_size, seed=seed, **knobs)
         result = local_search(problem, config)
     else:
         raise SpecFormatError(f"unknown search method {method!r}")
     if "reference_loss" in section:
         result = replace(
-            result, epsilon_gap=epsilon_gap(result, float(section["reference_loss"]))
+            result,
+            epsilon_gap=epsilon_gap(
+                result, _number(section["reference_loss"], "search.reference_loss")
+            ),
         )
     write_json(out / "search.json", result.to_json())
     write_csv(

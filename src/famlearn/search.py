@@ -9,7 +9,9 @@ be attained, so nothing here ever claims it.  Instead:
   on small instances;
 * :func:`local_search` runs restarted simulated annealing over the full
   stochastic class, reporting the best loss found and an improvement
-  trace;
+  trace; its restarts advance in lockstep, each on its own spawned RNG
+  stream, with one batched solve per step pricing every restart's
+  proposal, and the result equals running them one after another;
 * :func:`epsilon_gap` turns a reference loss (enumeration, a closed
   form, or a bound) into the certified suboptimality of a result.
 
@@ -236,29 +238,38 @@ def enumerate_deterministic(
 # ---------------------------------------------------------------------------
 
 
-def _fast_loss(problem: Problem, transition: np.ndarray, stakes, eye, unit) -> float:
-    """Loss of a (generically irreducible) tensor via one batched solve.
+def _fast_loss(problem: Problem, transitions: np.ndarray, stakes, eye, unit) -> np.ndarray:
+    """Loss of each stacked (generically irreducible) tensor, all solved at once.
 
-    For an irreducible kernel the stationary system with a normalization
-    row replacing one equation is nonsingular, so no class analysis is
-    needed — this is the annealer's hot path.  Proposals that wander onto
-    a reducible boundary make the system singular or the answer invalid;
-    those score ``inf`` and are simply never accepted.
+    ``transitions`` is ``(restarts, m, k, m)``; one ``linalg.solve`` covers
+    every restart and world.  For an irreducible kernel the stationary
+    system with a normalization row replacing one equation is nonsingular,
+    so no class analysis is needed — this is the annealer's hot path.
+    Proposals that wander onto a reducible boundary make the system
+    singular or the answer invalid; those score ``inf`` and are simply
+    never accepted.  A singular system makes the stacked solve raise, so
+    the stack is then solved restart by restart and only the singular
+    restarts score ``inf``.  Each restart's loss is bit for bit what the
+    same tensor scores alone.
     """
-    kernels = np.einsum("ws,msj->wjm", problem.model.mass, transition)
+    kernels = np.einsum("ws,rmsj->rwjm", problem.model.mass, transitions)
     a = kernels - eye
-    a[:, -1, :] = 1.0
+    a[..., -1, :] = 1.0
     try:
-        pi = np.linalg.solve(a, unit[:, :, None])[:, :, 0]
+        pi = np.linalg.solve(a, unit)[..., 0]
     except np.linalg.LinAlgError:
-        return math.inf
+        pi = np.zeros(a.shape[:-1])  # an all-zero row scores inf below
+        for restart, system in enumerate(a):
+            try:
+                pi[restart] = np.linalg.solve(system, unit)[..., 0]
+            except np.linalg.LinAlgError:
+                pass
     np.clip(pi, 0.0, None, out=pi)
-    totals = pi.sum(axis=1, keepdims=True)
-    if not (totals > 0.0).all():
-        return math.inf
-    pi /= totals
-    loss = float(_price(stakes, pi)[1])
-    return loss if math.isfinite(loss) else math.inf
+    totals = pi.sum(axis=-1, keepdims=True)
+    positive = totals > 0.0
+    np.divide(pi, totals, out=pi, where=positive)
+    loss = _price(stakes, pi)[1]
+    return np.where(positive.all(axis=(1, 2)) & np.isfinite(loss), loss, math.inf)
 
 
 #: Keeps Dirichlet concentrations positive when a row entry hits zero.
@@ -271,58 +282,76 @@ def local_search(problem: Problem, config: SearchConfig) -> SearchResult:
     Each proposal redraws one (memory, signal) row from a Dirichlet
     centered on its current value, and the decision rule is re-optimized
     inside every evaluation.  Restarts use independent spawned RNG
-    streams, so the answer is a pure function of the config; the winner
-    is the lowest loss with ties going to the earlier restart.  A final
-    rounding pass prices the deterministic table nearest the best tensor
-    and keeps it when it does at least as well — optima frequently sit
-    exactly on those corners, which a stochastic walk only approaches.
+    streams and advance in lockstep: each draws from its own stream in
+    the order it would alone, and one batched :func:`_fast_loss` prices
+    every restart's proposal per step, so the result is exactly that of
+    running the restarts one after another.  The answer is a pure
+    function of the config; the winner is the lowest loss with ties going
+    to the earlier restart, and the trace numbers restart ``r``'s
+    iteration ``it`` as ``r * iterations + it``.  A final rounding pass
+    prices the deterministic table nearest the best tensor and keeps it
+    when it does at least as well — optima frequently sit exactly on
+    those corners, which a stochastic walk only approaches.
     """
-    m, n = config.m_size, problem.n_states
+    m, n, k = config.m_size, problem.n_states, problem.model.alphabet_size
     stakes = problem.stakes
     eye = np.broadcast_to(np.eye(m), (n, m, m)).copy()
-    unit = np.zeros((n, m))
+    unit = np.zeros((n, m, 1))
     unit[:, -1] = 1.0
 
     streams = np.random.SeedSequence(config.seed).spawn(config.restarts)
-    best_transition = None
-    best_loss = math.inf
-    events = []
-    for restart, stream in enumerate(streams):
-        rng = np.random.default_rng(stream)
-        current = rng.dirichlet(np.ones(m), size=(m, problem.model.alphabet_size))
-        current_loss = _fast_loss(problem, current, stakes, eye, unit)
-        if current_loss < best_loss:
-            best_loss = current_loss
-            best_transition = current.copy()
-            events.append((restart * config.iterations, best_loss))
-        temperature = config.initial_temperature
-        for it in range(1, config.iterations + 1):
-            temperature *= config.cooling
-            row_m = int(rng.integers(m))
-            row_s = int(rng.integers(problem.model.alphabet_size))
-            proposal = current.copy()
-            proposal[row_m, row_s] = rng.dirichlet(
-                current[row_m, row_s] / config.step_scale + _ALPHA_FLOOR
-            )
-            proposal_loss = _fast_loss(problem, proposal, stakes, eye, unit)
-            delta = proposal_loss - current_loss
-            if delta <= 0.0 or rng.random() < math.exp(-delta / temperature):
-                current = proposal
-                current_loss = proposal_loss
-            if current_loss < best_loss:
-                best_loss = current_loss
-                best_transition = current.copy()
-                events.append((restart * config.iterations + it, best_loss))
+    rngs = [np.random.default_rng(stream) for stream in streams]
+    current = np.stack([rng.dirichlet(np.ones(m), size=(m, k)) for rng in rngs])
+    current_loss = _fast_loss(problem, current, stakes, eye, unit).tolist()
+    best = current.copy()
+    best_loss = [math.inf] * config.restarts
+    events = [[] for _ in rngs]  # each restart's own improvements (it, loss)
 
-    result = _exact_result(problem, best_transition, trace=events)
+    def record(it):
+        for r, loss in enumerate(current_loss):
+            if loss < best_loss[r]:
+                best_loss[r] = loss
+                best[r] = current[r]
+                events[r].append((it, loss))
+
+    record(0)
+    temperature = config.initial_temperature
+    for it in range(1, config.iterations + 1):
+        temperature *= config.cooling
+        proposal = current.copy()
+        for r, rng in enumerate(rngs):
+            row_m = int(rng.integers(m))
+            row_s = int(rng.integers(k))
+            proposal[r, row_m, row_s] = rng.dirichlet(
+                current[r, row_m, row_s] / config.step_scale + _ALPHA_FLOOR
+            )
+        proposal_loss = _fast_loss(problem, proposal, stakes, eye, unit).tolist()
+        for r, rng in enumerate(rngs):
+            delta = proposal_loss[r] - current_loss[r]
+            if delta <= 0.0 or rng.random() < math.exp(-delta / temperature):
+                current[r] = proposal[r]
+                current_loss[r] = proposal_loss[r]
+        record(it)
+
+    # Replay the restarts in order: an improvement counts only when it
+    # beats every earlier restart too, as it would have run alone.
+    trace, winner = [], None
+    for r, restart_events in enumerate(events):
+        for it, loss in restart_events:
+            if not trace or loss < trace[-1][1]:
+                trace.append((r * config.iterations + it, loss))
+                winner = r
+    best_transition = best[winner]
+
+    result = _exact_result(problem, best_transition, trace=trace)
     corners = np.zeros_like(best_transition)
     np.put_along_axis(corners, best_transition.argmax(axis=2)[..., None], 1.0, axis=2)
-    snapped = _exact_result(problem, corners, trace=events)
+    snapped = _exact_result(problem, corners, trace=trace)
     if snapped.loss <= result.loss:
         result = snapped
-    if events and result.loss <= events[-1][1]:
+    if trace and result.loss <= trace[-1][1]:
         result = replace(
             result,
-            trace=tuple(events) + ((config.restarts * config.iterations, result.loss),),
+            trace=tuple(trace) + ((config.restarts * config.iterations, result.loss),),
         )
     return result

@@ -4,7 +4,10 @@ Nothing in here reuses the package's solvers: occupancies come from
 brute-force power averaging, ladder chains from exact rational
 arithmetic, star occupancies from the geometric form in ``mpmath``,
 class splits from ``networkx``'s condensation, and optimal pattern
-losses from a generic numeric optimizer.
+losses from a generic numeric optimizer.  The one exception is
+:func:`sequential_anneal`, the annealer's former restart-by-restart loop
+kept as the reference for the lockstep one: it shares the package's
+pricing and exact re-solve, because only the order of the walk changed.
 Expected values in the test modules were produced by these functions
 (and are frozen there as literals); the cheap ones are also called
 directly inside tests to cross-check the fast implementations.
@@ -13,12 +16,17 @@ directly inside tests to cross-check the fast implementations.
 from __future__ import annotations
 
 from fractions import Fraction
+import math
+from dataclasses import replace
 from itertools import product
 
 import mpmath
 import networkx as nx
 import numpy as np
 from scipy.optimize import minimize
+
+from famlearn.chain import _price
+from famlearn.search import _ALPHA_FLOOR, _exact_result
 
 
 def cesaro_occupancy(kernel: np.ndarray, initial: int, doublings: int = 50) -> np.ndarray:
@@ -243,3 +251,79 @@ def canonical_strings(m_size: int, alphabet: int):
                 yield from grow(prefix + (digit,), found + (digit == found))
 
     yield from grow((), 1)
+
+
+def scalar_fast_loss(problem, transition, stakes, eye, unit) -> float:
+    """The annealer's former one-tensor objective, unchanged."""
+    kernels = np.einsum("ws,msj->wjm", problem.model.mass, transition)
+    a = kernels - eye
+    a[:, -1, :] = 1.0
+    try:
+        pi = np.linalg.solve(a, unit[:, :, None])[:, :, 0]
+    except np.linalg.LinAlgError:
+        return math.inf
+    np.clip(pi, 0.0, None, out=pi)
+    totals = pi.sum(axis=1, keepdims=True)
+    if not (totals > 0.0).all():
+        return math.inf
+    pi /= totals
+    loss = float(_price(stakes, pi)[1])
+    return loss if math.isfinite(loss) else math.inf
+
+
+def sequential_anneal(problem, config):
+    """``famlearn.local_search`` as it ran before its restarts ran in lockstep.
+
+    Restarts run one after another, each on its own spawned stream, and
+    every proposal is priced alone; the lockstep annealer must return
+    this result bit for bit.
+    """
+    m, n = config.m_size, problem.n_states
+    stakes = problem.stakes
+    eye = np.broadcast_to(np.eye(m), (n, m, m)).copy()
+    unit = np.zeros((n, m))
+    unit[:, -1] = 1.0
+
+    streams = np.random.SeedSequence(config.seed).spawn(config.restarts)
+    best_transition = None
+    best_loss = math.inf
+    events = []
+    for restart, stream in enumerate(streams):
+        rng = np.random.default_rng(stream)
+        current = rng.dirichlet(np.ones(m), size=(m, problem.model.alphabet_size))
+        current_loss = scalar_fast_loss(problem, current, stakes, eye, unit)
+        if current_loss < best_loss:
+            best_loss = current_loss
+            best_transition = current.copy()
+            events.append((restart * config.iterations, best_loss))
+        temperature = config.initial_temperature
+        for it in range(1, config.iterations + 1):
+            temperature *= config.cooling
+            row_m = int(rng.integers(m))
+            row_s = int(rng.integers(problem.model.alphabet_size))
+            proposal = current.copy()
+            proposal[row_m, row_s] = rng.dirichlet(
+                current[row_m, row_s] / config.step_scale + _ALPHA_FLOOR
+            )
+            proposal_loss = scalar_fast_loss(problem, proposal, stakes, eye, unit)
+            delta = proposal_loss - current_loss
+            if delta <= 0.0 or rng.random() < math.exp(-delta / temperature):
+                current = proposal
+                current_loss = proposal_loss
+            if current_loss < best_loss:
+                best_loss = current_loss
+                best_transition = current.copy()
+                events.append((restart * config.iterations + it, best_loss))
+
+    result = _exact_result(problem, best_transition, trace=events)
+    corners = np.zeros_like(best_transition)
+    np.put_along_axis(corners, best_transition.argmax(axis=2)[..., None], 1.0, axis=2)
+    snapped = _exact_result(problem, corners, trace=events)
+    if snapped.loss <= result.loss:
+        result = snapped
+    if events and result.loss <= events[-1][1]:
+        result = replace(
+            result,
+            trace=tuple(events) + ((config.restarts * config.iterations, result.loss),),
+        )
+    return result

@@ -1,5 +1,7 @@
 """End-to-end runs of the batch commands: exit codes, artifacts, determinism."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -384,6 +386,41 @@ def test_search_disagree_and_closed_forms_exit_cleanly_at_the_extremes(case):
         assert run(command, path, Path(tmp) / "out", "--format", fmt) in (0, 1, 2)
 
 
+@st.composite
+def extreme_validate_specs(draw):
+    """A validate spec with varsigma of any JSON type or size, on a model
+    that may have zero entries."""
+    if draw(st.booleans()):
+        model = draw_extreme_model(draw)
+    else:
+        n, alphabet = draw(st.integers(2, 3)), draw(st.integers(2, 3))
+        rows = []
+        for _ in range(n):
+            row = draw(st.lists(st.sampled_from([0.0, 0.1, 1.0]), min_size=alphabet, max_size=alphabet))
+            row[draw(st.integers(0, alphabet - 1))] = 1.0  # no all-zero row
+            rows.append([x / sum(row) for x in row])
+        model = SignalModel.from_rows(rows)
+    varsigma = draw(
+        st.sampled_from([None, "abc", float("inf"), float("-inf"), float("nan"), -1, 0, 1e308])
+    )
+    return {"problem": {"model": model.to_json()}, "varsigma": varsigma}
+
+
+@settings(max_examples=40, deadline=None)
+@given(extreme_validate_specs())
+def test_validate_exits_cleanly_at_the_extremes(spec):
+    varsigma = spec["varsigma"]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write_spec(Path(tmp), spec)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = run("validate", path, Path(tmp) / "out")
+    if isinstance(varsigma, str) or varsigma is None or not np.isfinite(varsigma):
+        assert code == 2 and "varsigma" in err.getvalue()
+    else:
+        assert code in (0, 1)
+
+
 def test_eval_inline_mechanism_requires_model(tmp_path):
     mech_json = {
         "m": 1,
@@ -438,6 +475,14 @@ def test_non_finite_artifact_is_domain_exit_and_writes_nothing(tmp_path, monkeyp
     out = tmp_path / "out"
     assert run("eval", spec, out) == 1
     assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_write_csv_refuses_non_finite_numbers_and_writes_nothing(tmp_path, value):
+    path = tmp_path / "out" / "rows.csv"
+    with pytest.raises(ValueError, match="non-finite"):
+        cli.write_csv(path, ("iteration", "best_loss"), [(0, 0.5), (1, value)])
+    assert not path.parent.exists() or not any(path.parent.iterdir())
 
 
 def test_importing_the_cli_does_not_load_scipy():
@@ -802,6 +847,31 @@ def test_search_seed_flag_overrides_spec(tmp_path):
     a = json.loads((out_a / "search.json").read_text())
     b = json.loads((out_b / "search.json").read_text())
     assert a["mechanism"]["transition"] != b["mechanism"]["transition"]
+
+
+@pytest.mark.parametrize(
+    ("key", "value"),
+    [
+        ("restarts", None),
+        ("step_scale", None),
+        ("cooling", None),
+        ("seed", None),
+        ("iterations", "5"),
+        ("m_size", 2.5),
+        ("restarts", True),
+    ],
+)
+def test_search_knob_of_the_wrong_json_type_is_usage_exit(tmp_path, key, value):
+    section = {"method": "anneal", "m_size": 2, "restarts": 1, "iterations": 5, key: value}
+    spec = write_spec(tmp_path, {"problem": {"model": BINARY_JSON}, "search": section})
+    proc = subprocess.run(
+        [sys.executable, "-m", "famlearn.cli", "search", "--spec", spec, "--out", str(tmp_path)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:") and f"search.{key}" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_search_leaves_unset_knobs_to_the_library(tmp_path, monkeypatch):

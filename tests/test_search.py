@@ -279,6 +279,75 @@ def test_local_search_prices_a_chain_with_transient_states():
     assert result.loss == pytest.approx(0.2, abs=1e-9)
 
 
+def assert_same_search(result, reference):
+    """Bit for bit: loss, trace, transition tensor and decision rule."""
+    assert result.loss == reference.loss
+    assert result.trace == reference.trace
+    assert np.array_equal(result.mechanism.transition, reference.mechanism.transition)
+    assert np.array_equal(result.mechanism.decision, reference.mechanism.decision)
+
+
+@pytest.mark.parametrize("m_size", [3, 6])
+def test_lockstep_annealer_matches_sequential_restarts_on_the_study(m_size):
+    """The memory-budget study's settings: 0.8/0.2, 4 x 1,000, seed 11."""
+    prob = uniform_problem(BINARY)
+    config = SearchConfig(m_size=m_size, restarts=4, iterations=1000, seed=11)
+    assert_same_search(local_search(prob, config), oracles.sequential_anneal(prob, config))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    n=st.integers(min_value=2, max_value=3),
+    alphabet=st.integers(min_value=2, max_value=3),
+    m_size=st.integers(min_value=1, max_value=5),
+    restarts=st.integers(min_value=1, max_value=6),
+    iterations=st.integers(min_value=1, max_value=300),
+    step_scale=st.sampled_from([0.01, 0.25, 1.0]),
+    cooling=st.sampled_from([0.5, 0.995]),
+    dead_signal=st.booleans(),
+)
+def test_lockstep_annealer_matches_sequential_restarts(
+    seed, n, alphabet, m_size, restarts, iterations, step_scale, cooling, dead_signal
+):
+    """Bolder steps and faster cooling reach corners, where solves go singular;
+    a signal no world emits gives every kernel a dead column of inputs."""
+    rng = np.random.default_rng(seed)
+    mass = rng.uniform(0.1, 1.0, size=(n, alphabet))
+    if dead_signal:
+        mass[:, 0] = 0.0
+    mass /= mass.sum(axis=1, keepdims=True)
+    prob = Problem(
+        model=SignalModel.from_rows(mass),
+        utilities=rng.uniform(0.5, 2.0, size=n),
+        prior=rng.dirichlet(np.ones(n)),
+    )
+    config = SearchConfig(
+        m_size=m_size,
+        restarts=restarts,
+        iterations=iterations,
+        step_scale=step_scale,
+        cooling=cooling,
+        seed=seed,
+    )
+    assert_same_search(local_search(prob, config), oracles.sequential_anneal(prob, config))
+
+
+def test_a_singular_proposal_scores_inf_for_its_own_restart_only():
+    prob = uniform_problem(BINARY)
+    m = 3
+    eye = np.broadcast_to(np.eye(m), (2, m, m)).copy()
+    unit = np.zeros((2, m, 1))
+    unit[:, -1] = 1.0
+    stack = np.random.default_rng(0).dirichlet(np.ones(m), size=(3, m, 2))
+    stack[1] = np.eye(m)[:, None, :]  # every state stays put: singular
+    losses = search._fast_loss(prob, stack, prob.stakes, eye, unit)
+    assert losses[1] == np.inf
+    for r in (0, 2):
+        alone = oracles.scalar_fast_loss(prob, stack[r], prob.stakes, eye, unit[..., 0])
+        assert losses[r] == alone < np.inf
+
+
 def test_local_search_validates_config():
     with pytest.raises(ValueError):
         SearchConfig(m_size=0)
