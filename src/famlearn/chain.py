@@ -33,6 +33,8 @@ RESIDUAL_TOL = 1e-8
 #: The plain back-substitution is trusted while every partial occupancy
 #: stays within ``[1/PLAIN_RANGE, PLAIN_RANGE]`` of the first state's.
 PLAIN_RANGE = 1e100
+#: Pivots per panel of the dense elimination (see :func:`_dense_gth`).
+_PANEL = 48
 
 
 @dataclass(frozen=True)
@@ -253,9 +255,11 @@ def _eliminate_sparse(q: SparseRows, members):
     update per state.  Returns each state's normalised inflow
     ``[(i, a[i, j]), ...]`` over ``i < j``, which is all the
     back-substitution reads, or ``None`` as soon as the running count of
-    updates would exceed the class's nonzero count.  Each value is formed
-    by the same operations as in :func:`_dense_gth`; the diagonal, which
-    GTH never reads, is not kept.
+    updates would exceed the class's nonzero count.  Each update is the
+    textbook loop's, added in the same per-pivot order; only an outflow
+    row's sum may be taken in another order.  :func:`_dense_gth` sums in
+    panels instead, so the two agree to rounding, not bitwise.  The
+    diagonal, which GTH never reads, is not kept.
     """
     local = np.full(len(q), -1)
     local[members] = np.arange(len(members))
@@ -334,28 +338,38 @@ def _back_substitute(feeds) -> np.ndarray:
 def _dense_gth(a: np.ndarray, members) -> np.ndarray:
     """GTH elimination and back-substitution on the dense class block ``a``.
 
-    Each pivot adds the outer product of its inflow column and outflow
-    row to the block before it, from the first nonzero entry of each on:
-    the rows and columns before those would only have zeros added, so the
-    result is bitwise the whole-block update's, and a banded class costs
-    its band.  The back-substitution ``pi[j] = pi[:j] @ a[:j, j]`` runs
-    plain while every partial entry stays within ``[1/PLAIN_RANGE,
-    PLAIN_RANGE]`` of ``pi[0] = 1``, and otherwise restarts in
-    :func:`_back_substitute` on the block's nonzero entries.
+    Pivots are eliminated last to first in panels of ``_PANEL``.  A pivot's
+    outflow row and inflow column are its entries of ``a`` plus the
+    panel's pending updates, one matrix-vector product each; its
+    normalised inflow is written back to ``a[:j, j]``.  After the panel,
+    the block before it takes the panel's updates as one matrix product,
+    from the first row with a nonzero inflow and the first column with a
+    nonzero outflow on, so a banded class costs its band.  Every update
+    still adds nonnegative terms and the diagonal is never read: only the
+    order of the sums differs from the textbook per-pivot loop.  With one
+    BLAS thread on a 2-core x86 host, a 396-state class takes about 9 ms
+    and a 1,500-state one 0.15 s.  The back-substitution
+    ``pi[j] = pi[:j] @ a[:j, j]`` runs plain while every partial entry
+    stays within ``[1/PLAIN_RANGE, PLAIN_RANGE]`` of ``pi[0] = 1``, and
+    otherwise restarts in :func:`_back_substitute` on the block's nonzero
+    entries.
     """
     k = a.shape[0]
-    for j in range(k - 1, 0, -1):
-        outflow = a[j, :j]
-        s = outflow.sum()
-        if not s > 0.0:
-            raise SolverError(
-                f"class member {members[j]} cannot reach the rest of its class"
-            )
-        inflow = a[:j, j]
-        inflow /= s
-        r, c = (inflow != 0.0).argmax(), (outflow != 0.0).argmax()
-        if inflow[r]:
-            a[r:j, c:j] += inflow[r:, None] * outflow[c:]
+    for hi in range(k, 1, -_PANEL):
+        lo = max(1, hi - _PANEL)
+        inflows, outflows = np.zeros((hi, hi - lo)), np.zeros((hi - lo, hi))
+        for t, j in enumerate(range(hi - 1, lo - 1, -1)):
+            outflow = outflows[t, :j] = a[j, :j] + inflows[j, :t] @ outflows[:t, :j]
+            s = outflow.sum()
+            if not s > 0.0:
+                raise SolverError(
+                    f"class member {members[j]} cannot reach the rest of its class"
+                )
+            inflows[:j, t] = a[:j, j] = (a[:j, j] + inflows[:j, :t] @ outflows[:t, j]) / s
+        hit_rows, hit_cols = inflows[:lo].any(axis=1), outflows[:, :lo].any(axis=0)
+        r, c = hit_rows.argmax(), hit_cols.argmax()
+        if hit_rows[r]:
+            a[r:lo, c:lo] += inflows[r:lo] @ outflows[:, c:lo]
     pi = np.empty(k)
     pi[0] = 1.0
     for j in range(1, k):

@@ -263,8 +263,8 @@ def _fmt(x: float) -> str:
 def cmd_validate(spec: ExperimentSpec, out: Path, seed: int, fmt: str) -> int:
     model = spec.model()
     varsigma = _number(spec.raw.get("varsigma", 0.0), "varsigma")
-    if not np.isfinite(varsigma):
-        raise SpecFormatError(f"varsigma must be finite, got {varsigma!r}")
+    if not 0.0 <= varsigma < np.inf:
+        raise SpecFormatError(f"varsigma must be finite and at least 0, got {varsigma!r}")
     report = validate(model, varsigma)
     write_json(out / "validate.json", report.to_json())
     status = "ok" if report.ok else "FAIL"
@@ -304,7 +304,15 @@ def _sweep_axis(spec: ExperimentSpec):
             f"sweep needs exactly one non-empty axis of lam/gamma/m, got {axes}"
         )
     axis = axes[0]
-    return axis, list(section[axis])
+    values = section[axis]
+    if not isinstance(values, list):
+        raise SpecFormatError(f"sweep.{axis} must be a list, got {json.dumps(values)}")
+    numbers = [
+        _number(v, f"sweep.{axis}[{i}]", integral=axis != "gamma")
+        for i, v in enumerate(values)
+    ]
+    # A valid gamma is written back as the spec gave it: 0 stays "0".
+    return axis, values if axis == "gamma" else numbers
 
 
 def cmd_sweep(spec: ExperimentSpec, out: Path, seed: int, fmt: str) -> int:
@@ -314,8 +322,7 @@ def cmd_sweep(spec: ExperimentSpec, out: Path, seed: int, fmt: str) -> int:
         problem = spec.problem()
         budget = spec.search_budget()
         for m in values:
-            result = enumerate_deterministic(problem, int(m), budget=budget)
-            points.append((int(m), result.mechanism))
+            points.append((m, enumerate_deterministic(problem, m, budget=budget).mechanism))
     else:
         section = spec.raw.get("mechanism", {})
         if "blueprint" not in section:

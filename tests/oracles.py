@@ -176,8 +176,8 @@ def dense_gth(kernel: np.ndarray) -> np.ndarray:
     """Stationary vector of an irreducible kernel by the textbook GTH loop.
 
     Every pivot updates its whole leading block and the back-substitution
-    never rescales, so wherever the sparse solver's partial entries stay
-    in range it must reproduce this bit for bit: zeros add nothing.
+    never rescales.  The package's solvers sum in other orders (the dense
+    one in panels), so they agree with this loop to rounding, not bitwise.
     """
     a = np.array(kernel, dtype=np.float64)
     k = a.shape[0]
@@ -189,6 +189,32 @@ def dense_gth(kernel: np.ndarray) -> np.ndarray:
     for j in range(1, k):
         pi[j] = pi[:j] @ a[:j, j]
     return pi / pi.sum()
+
+
+def gth_mp(kernel: np.ndarray, digits: int = 40) -> np.ndarray:
+    """The textbook GTH loop of :func:`dense_gth` in mpmath at ``digits``.
+
+    Zero inflows and outflows are skipped, which changes no value, so a
+    banded kernel costs its band.  The result is rounded to doubles once,
+    at the end.
+    """
+    with mpmath.workdps(digits):
+        a = [[mpmath.mpf(float(x)) for x in row] for row in np.asarray(kernel)]
+        k = len(a)
+        for j in range(k - 1, 0, -1):
+            outflow = [(c, o) for c, o in enumerate(a[j][:j]) if o]
+            s = mpmath.fsum(o for _, o in outflow)
+            for i in range(j):
+                if a[i][j]:
+                    f = a[i][j] = a[i][j] / s
+                    row = a[i]
+                    for c, o in outflow:
+                        row[c] += f * o
+        pi = [mpmath.mpf(1)]
+        for j in range(1, k):
+            pi.append(mpmath.fdot([a[i][j] for i in range(j)], pi))
+        total = mpmath.fsum(pi)
+        return np.array([float(x / total) for x in pi])
 
 
 def recurrent_classes_nx(kernel: np.ndarray):

@@ -199,13 +199,45 @@ def test_stationary_matches_power_averaging(size, seed):
 
 @pytest.mark.parametrize("seed", range(20))
 def test_sparse_elimination_matches_dense_loop_bitwise(seed):
-    """Skipping zero rows and columns must not change a single bit."""
+    """These classes fill in, so the sparse elimination gives up and leaves
+    no trace: the occupancy is bit for bit the dense elimination's.  That
+    one sums in panels, not in the textbook's per-pivot order, so it agrees
+    with the textbook loop and with the same loop at 40 digits to rounding."""
     rng = np.random.default_rng(seed)
     n = int(rng.integers(2, 80))
     q = _random_support_kernel(rng, n, rng.uniform(0.0, 0.3))
     q[np.arange(n), (np.arange(n) + 1) % n] += 0.5  # a ring: irreducible
     q /= q.sum(axis=1, keepdims=True)
-    assert stationary(q).tolist() == oracles.dense_gth(q).tolist()
+    members = list(range(n))
+    assert chain._eliminate_sparse(SparseRows.from_dense(q), members) is None
+    pi = stationary(q)
+    assert pi.tolist() == chain._dense_gth(q.copy(), members).tolist()
+    for ref in (oracles.dense_gth(q), oracles.gth_mp(q)):
+        np.testing.assert_allclose(pi, ref, rtol=1e-13, atol=0.0)
+
+
+PANEL = chain._PANEL
+
+
+@pytest.mark.parametrize("n", [1, PANEL - 1, PANEL, PANEL + 1, 2 * PANEL + 1, 3 * PANEL + 2])
+def test_dense_elimination_across_panel_edges(n):
+    """Classes that end just before, on and just after a panel edge.  The
+    band keeps the 40-digit loop cheap and makes the panel products skip
+    leading rows and columns."""
+    rng = np.random.default_rng(n)
+    near = np.abs(np.arange(n)[:, None] - np.arange(n)) <= PANEL // 2
+    q = near * rng.uniform(0.1, 1.0, size=(n, n))
+    q /= q.sum(axis=1, keepdims=True)
+    pi = chain._dense_gth(q.copy(), list(range(n)))
+    chain._check_residual(pi, q)
+    for ref in (oracles.dense_gth(q), oracles.gth_mp(q)):
+        np.testing.assert_allclose(pi, ref, rtol=1e-13, atol=0.0)
+
+
+def test_dense_elimination_names_a_member_without_outflow():
+    a = np.array([[0.5, 0.25, 0.25], [0.5, 0.0, 0.5], [0.0, 0.0, 1.0]])
+    with pytest.raises(SolverError, match="class member 12 cannot reach"):
+        chain._dense_gth(a, [10, 11, 12])
 
 
 WEAK = SignalModel.from_rows([[0.51, 0.49], [0.49, 0.51]])
@@ -238,11 +270,17 @@ def test_filled_in_class_restarts_on_the_dense_loop():
     assert chain._eliminate_sparse(SparseRows.from_dense(q), list(range(40))) is None
 
 
-@pytest.mark.parametrize("band", [5, 59], ids=["banded", "full"])
-def test_filled_in_class_past_the_float_range_matches_its_law(band):
+@pytest.mark.parametrize(
+    "n, band",
+    [(60, 5), (60, 59), (3 * PANEL + 7, 5), (3 * PANEL + 7, 3 * PANEL + 6)],
+    ids=["banded", "full", "banded-panels", "full-panels"],
+)
+def test_filled_in_class_past_the_float_range_matches_its_law(n, band):
     """A Metropolis chain for pi_i ~ 1e4**i, with proposals up to ``band``
-    states away: it fills in, so the dense loop and its rescaling run."""
-    n = 60
+    states away: it fills in, so the dense elimination and its rescaling
+    run, over several panels for the larger class.  There the law spans
+    far more than the float range, and what lies below the smallest normal
+    double is only held to that absolute size."""
     log_pi = np.arange(n) * np.log(1e4)
     near = np.abs(np.arange(n)[:, None] - np.arange(n)) <= band
     q = near * np.exp(np.minimum(0.0, log_pi - log_pi[:, None])) / n
@@ -250,7 +288,11 @@ def test_filled_in_class_past_the_float_range_matches_its_law(band):
     np.fill_diagonal(q, 1.0 - q.sum(axis=1))
     assert chain._eliminate_sparse(SparseRows.from_dense(q), list(range(n))) is None
     ref = np.exp(log_pi - log_pi.max())
-    np.testing.assert_allclose(stationary(q), ref / ref.sum(), rtol=1e-12, atol=0.0)
+    ref /= ref.sum()
+    pi = stationary(q)
+    normal = ref >= np.finfo(np.float64).tiny
+    np.testing.assert_allclose(pi[normal], ref[normal], rtol=1e-12, atol=0.0)
+    assert np.abs(pi[~normal] - ref[~normal]).max(initial=0.0) <= np.finfo(np.float64).tiny
 
 
 def test_star_of_6001_states_matches_high_precision_reference():

@@ -415,10 +415,19 @@ def test_validate_exits_cleanly_at_the_extremes(spec):
         err = io.StringIO()
         with contextlib.redirect_stderr(err):
             code = run("validate", path, Path(tmp) / "out")
-    if isinstance(varsigma, str) or varsigma is None or not np.isfinite(varsigma):
+    if isinstance(varsigma, str) or varsigma is None or not 0 <= varsigma < np.inf:
         assert code == 2 and "varsigma" in err.getvalue()
     else:
         assert code in (0, 1)
+
+
+def test_validate_refuses_a_negative_varsigma(tmp_path, capsys):
+    """Below 0 the full-support test passes vacuously, even on zero mass."""
+    model = SignalModel.from_rows([[1.0, 0.0], [0.5, 0.5]]).to_json()
+    spec = write_spec(tmp_path, {"problem": {"model": model}, "varsigma": -1})
+    assert run("validate", spec, tmp_path) == 2
+    assert "varsigma" in capsys.readouterr().err
+    assert not (tmp_path / "validate.json").exists()
 
 
 def test_eval_inline_mechanism_requires_model(tmp_path):
@@ -589,6 +598,33 @@ def test_sweep_rejects_two_axes(tmp_path):
         },
     )
     assert run("sweep", spec, tmp_path) == 2
+
+
+@pytest.mark.parametrize(
+    "axis, value",
+    [("m", None), ("m", "2"), ("m", 2.5), ("lam", True), ("lam", None), ("gamma", "0.1")],
+)
+def test_sweep_refuses_axis_values_of_the_wrong_type(tmp_path, capsys, axis, value):
+    spec = {"problem": {"model": BINARY_JSON}, "sweep": {axis: [value]}}
+    if axis != "m":
+        params = {"lam": 1, "delta": 4.0, "gamma": 0.0}
+        spec["mechanism"] = {"blueprint": {"family": "noisy_star", "params": params}}
+    assert run("sweep", write_spec(tmp_path, spec), tmp_path) == 2
+    assert f"sweep.{axis}[0]" in capsys.readouterr().err
+    assert not (tmp_path / "sweep.csv").exists()
+
+
+def test_sweep_refuses_an_axis_that_is_not_a_list(tmp_path, capsys):
+    spec = write_spec(tmp_path, {"problem": {"model": BINARY_JSON}, "sweep": {"m": "12"}})
+    assert run("sweep", spec, tmp_path) == 2
+    assert "sweep.m must be a list" in capsys.readouterr().err
+
+
+def test_sweep_reads_an_integral_float_as_an_integer(tmp_path):
+    spec = write_spec(tmp_path, {"problem": {"model": BINARY_JSON}, "sweep": {"m": [2.0]}})
+    assert run("sweep", spec, tmp_path) == 0
+    rows = (tmp_path / "sweep.csv").read_text().splitlines()
+    assert rows[1].split(",")[0] == "2"
 
 
 # --- disagree ---------------------------------------------------------------
