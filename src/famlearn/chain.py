@@ -139,19 +139,19 @@ class StationaryProfile:
         return {"occupancy": [[float(x) for x in row] for row in self.occupancy]}
 
 
-def _check_kernel(q) -> SparseRows:
-    """A dense array or :class:`SparseRows` kernel, checked, as ``SparseRows``."""
-    if not isinstance(q, SparseRows):
+def _check_kernel(q):
+    """A dense array or :class:`SparseRows` kernel, checked and kept in its form."""
+    sparse = isinstance(q, SparseRows)
+    if not sparse:
         q = np.asarray(q, dtype=np.float64)
-        if q.ndim != 2 or q.shape[0] != q.shape[1]:
-            raise ValueError(f"kernel must be square, got {q.shape}")
-        q = SparseRows.from_dense(q)
-    if q.width != len(q):
-        raise ValueError(f"kernel must be square, got {(len(q), q.width)}")
-    if (q.value < 0).any():
+    shape = (len(q), q.width) if sparse else q.shape
+    if len(shape) != 2 or shape[0] != shape[1]:
+        raise ValueError(f"kernel must be square, got {shape}")
+    if ((q.value if sparse else q) < 0).any():
         raise ValueError("kernel entries must be nonnegative")
-    gap = float(np.abs(q.row_sums() - 1.0).max(initial=0.0))
-    if gap > CHAIN_ROW_TOL:
+    row_sums = q.row_sums() if sparse else q.sum(axis=1)
+    gap = float(np.abs(row_sums - 1.0).max(initial=0.0))
+    if not gap <= CHAIN_ROW_TOL:
         raise ValueError(f"kernel rows must be stochastic; worst row off by {gap:.2e}")
     return q
 
@@ -216,6 +216,8 @@ def recurrent_classes(q):
     it.
     """
     q = _check_kernel(q)
+    if not isinstance(q, SparseRows):
+        q = SparseRows.from_dense(q)
     n_comp, labels = _strong_components(len(q), q.indptr.tolist(), q.index.tolist())
     rows, cols = q.row_index, q.index
     closed = np.ones(n_comp, dtype=bool)
@@ -422,14 +424,18 @@ def stationary(q, initial: int = 0) -> np.ndarray:
     initial state, so the result is the Cesaro limit of the empirical
     occupancy, not a solution of a single eigenproblem.  A kernel with no
     zero entry is one class with nothing to skip, and goes straight to
-    the dense elimination.
+    the dense elimination; a dense one is never converted to
+    :class:`SparseRows` on the way.
     """
     q = _check_kernel(q)
     n = len(q)
     if not 0 <= initial < n:
         raise ValueError(f"initial state {initial} out of range for {n} states")
-    if q.nnz == n * n:
-        pi = _dense_gth(q.dense(), range(n))
+    dense = isinstance(q, np.ndarray)
+    if dense and not q.all():
+        q, dense = SparseRows.from_dense(q), False
+    if dense or q.nnz == n * n:
+        pi = _dense_gth(q.copy() if dense else q.dense(), range(n))
         _check_residual(pi, q)
         return pi
     classes, transient = recurrent_classes(q)

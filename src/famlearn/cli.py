@@ -60,6 +60,8 @@ CLOSED_FORM_KEYS = {
     "symmetric": ("n", "info"),
     "star": ("lam", "delta", "w"),
 }
+#: Blueprint parameters that take only integral values.
+INTEGRAL_PARAMS = ("lam", "m_size", "n")
 
 
 class SpecFormatError(Exception):
@@ -87,6 +89,18 @@ def _number(value, name: str, integral: bool = False):
     if isinstance(value, float) and not value.is_integer():
         raise SpecFormatError(f"{name} must be an integer, got {value!r}")
     return int(value)
+
+
+def _blueprint(obj: dict, where: str) -> MechanismBlueprint:
+    """A blueprint from the spec, each parameter checked by :func:`_number`."""
+    if not isinstance(obj, dict) or not isinstance(obj.get("params", {}), dict):
+        raise SpecFormatError(f"{where} must be an object, with an object of params")
+    blueprint = _parse(MechanismBlueprint, obj, "blueprint")
+    params = {
+        key: _number(value, f"{where}.params.{key}", integral=key in INTEGRAL_PARAMS)
+        for key, value in blueprint.params.items()
+    }
+    return MechanismBlueprint(family=blueprint.family, params=params)
 
 
 def _read_json(path, what: str):
@@ -172,9 +186,11 @@ class ExperimentSpec:
     def problem(self) -> Problem:
         return self.problem_for(self.model())
 
-    def mechanism_section(self, section: dict, model: SignalModel | None):
+    def mechanism_section(
+        self, section: dict, model: SignalModel | None, where: str = "mechanism"
+    ):
         if "blueprint" in section:
-            blueprint = _parse(MechanismBlueprint, section["blueprint"], "blueprint")
+            blueprint = _blueprint(section["blueprint"], f"{where}.blueprint")
             needs_model = blueprint.family in ("line", "star", "noisy_star")
             if needs_model and model is None:
                 raise SpecFormatError(
@@ -327,7 +343,7 @@ def cmd_sweep(spec: ExperimentSpec, out: Path, seed: int, fmt: str) -> int:
         section = spec.raw.get("mechanism", {})
         if "blueprint" not in section:
             raise SpecFormatError(f"a {axis} sweep needs a mechanism blueprint")
-        base = MechanismBlueprint.from_json(section["blueprint"])
+        base = _blueprint(section["blueprint"], "mechanism.blueprint")
         model = spec.model()
         problem = spec.problem()
         for value in values:
@@ -364,8 +380,8 @@ def cmd_disagree(spec: ExperimentSpec, out: Path, seed: int, fmt: str) -> int:
     if not isinstance(agents, list) or len(agents) != 2:
         raise SpecFormatError("disagree needs an agents list with exactly 2 entries")
     model = spec.model_optional()
-    mech_a, model_a = spec.mechanism_section(agents[0], model)
-    mech_b, model_b = spec.mechanism_section(agents[1], model)
+    mech_a, model_a = spec.mechanism_section(agents[0], model, "agents[0]")
+    mech_b, model_b = spec.mechanism_section(agents[1], model, "agents[1]")
     if model is None:
         if not np.allclose(model_a.mass, model_b.mass, atol=1e-12):
             raise SpecFormatError("the two agents' blueprints generate different models")

@@ -34,8 +34,9 @@ from .errors import BudgetExceededError
 #: Enumeration refuses instances with more canonical tables than this:
 #: binary m = 5 (166,152) fits, binary m = 6 and ternary m = 4 do not.
 DEFAULT_ENUMERATION_BUDGET = 1_000_000
-#: Doublings of the averaging operator; reaches horizon 2**this.
-_CESARO_DOUBLINGS = 60
+#: Squarings of the lazy kernel in scoring: at most 60 (horizon 2**60),
+#: enough for the bound to leave e**-45 of the transient part.
+_MAX_SQUARINGS, _EFOLDS = 60, 45.0
 #: Kernels scored at once by enumeration; bounds its working memory.
 _SCORE_KERNELS = 2**14
 
@@ -126,27 +127,42 @@ def _exact_result(problem: Problem, transition: np.ndarray, trace) -> SearchResu
 # ---------------------------------------------------------------------------
 
 
-def _cesaro_rows(kernels: np.ndarray, initial: int) -> np.ndarray:
-    """Long-run occupancy row of each stacked kernel, via averaged powers.
+def _squarings(kernels: np.ndarray) -> int:
+    """Squarings :func:`_cesaro_rows` takes: its bound, in log space, capped."""
+    s = kernels.shape[-1] - 1
+    p = kernels[kernels > 0.0].min(initial=1.0)
+    bound = math.log2(s * _EFOLDS) + s * (1.0 - math.log2(p)) if s else 0.0
+    return min(_MAX_SQUARINGS, math.ceil(bound))
 
-    Carries row ``initial`` of the Cesaro mean ``(I + Q + ... + Q^(T-1)) / T``
-    to horizon ``T = 2**k`` by operator doubling, ``row <- (row + row Q^T) / 2``,
-    which converges for periodic and reducible chains alike — both show up
-    constantly among deterministic tables, so an eigenvector solve won't do.
+
+def _cesaro_rows(kernels: np.ndarray, initial: int) -> np.ndarray:
+    """Long-run occupancy row of each stacked kernel, as a lazy-kernel power.
+
+    ``L = (I + Q) / 2`` is aperiodic and keeps the stationary vectors and
+    closed classes of ``Q``, so its powers tend to the Cesaro limit of
+    ``Q`` even on the periodic and reducible chains common among
+    deterministic tables.  Row ``initial`` of ``L**(2**r)`` is returned,
+    ``r`` fixed by a Doeblin bound (Seneta, 1981).  With ``p`` the stack's
+    smallest positive entry, ``L`` takes an edge of ``Q`` with chance at
+    least ``p / 2`` and a self-loop with at least 1/2, so ``s = m - 1``
+    lazy steps reach each state they can reach with chance at least
+    ``eps = (p / 2)**s``.  Each block of ``s`` steps thus moves a transient
+    start into a closed class, and couples two starts in one class, with
+    chance at least ``eps``; after ``n`` blocks the row is within
+    ``(n eps + 2)(1 - eps)**(n - 1)`` of its limit in total variation.
+    ``2**r >= s E / eps`` makes ``n eps`` about ``E`` or more, for an error
+    below about ``(E + 2) exp(-E)``, 1e-18 at ``E = 45``.  Where that takes
+    more than 60 squarings the bound lapses and the row is only a
+    shortlist score, as the Cesaro mean to horizon 2**60 was.
     """
-    row = np.zeros(kernels.shape[:-1])
-    row[:, initial] = 1.0
-    power = kernels.copy()
+    power = 0.5 * (kernels + np.eye(kernels.shape[-1]))
     ones = np.ones((kernels.shape[-1], 1))
-    for _ in range(_CESARO_DOUBLINGS):
-        row = 0.5 * (row + (row[:, None, :] @ power)[:, 0, :])
+    for _ in range(_squarings(kernels)):
         power = power @ power
-        # Repeated squaring squares the row-sum error along with the
-        # matrix, so renormalise every round; otherwise the drift grows
-        # like (1 + eps)**(2**k) and wrecks the later horizons.
-        row /= row @ ones
+        # Squaring squares the row-sum error too; unless renormalised every
+        # round, the drift grows like (1 + eps)**(2**k).
         power /= power @ ones
-    return row
+    return power[:, initial, :]
 
 
 def _canonical_tables(m_size: int, alphabet: int) -> np.ndarray:
@@ -187,6 +203,19 @@ def _count_tables(m_size: int, alphabet: int, stop_above: float = math.inf) -> i
     return sum(prefixes)
 
 
+def _scored_tables(problem: Problem, m_size: int):
+    """Canonical tables, one-hot ``(t, m, k, m)``, and their scores, in slices."""
+    m, n, mass = m_size, problem.n_states, problem.model.mass
+    onehot = _canonical_tables(m, mass.shape[1])[..., None] == np.arange(m)
+    losses = np.empty(len(onehot))
+    step = max(1, _SCORE_KERNELS // n)
+    for lo in range(0, len(onehot), step):
+        kernels = np.einsum("ws,tmsj->twmj", mass, onehot[lo : lo + step])
+        occ = _cesaro_rows(kernels.reshape(-1, m, m), initial=0).reshape(-1, n, m)
+        losses[lo : lo + step] = _price(problem.stakes, occ)[1]
+    return onehot, losses
+
+
 def enumeration_count(problem: Problem, m_size: int) -> int:
     """Canonical deterministic tables that enumeration scores.
 
@@ -211,20 +240,10 @@ def enumerate_deterministic(
     """
     if m_size < 1:
         raise ValueError(f"m_size must be >= 1, got {m_size}")
-    m, n, mass = m_size, problem.n_states, problem.model.mass
-    n_tables = _count_tables(m, mass.shape[1], stop_above=budget)
+    n_tables = _count_tables(m_size, problem.model.alphabet_size, stop_above=budget)
     if n_tables > budget:
         raise BudgetExceededError(n_tables, budget)
-
-    # Score in slices of about _SCORE_KERNELS kernels to bound memory.
-    onehot = _canonical_tables(m, mass.shape[1])[..., None] == np.arange(m)
-    losses = np.empty(len(onehot))
-    step = max(1, _SCORE_KERNELS // n)
-    for lo in range(0, len(onehot), step):
-        kernels = np.einsum("ws,tmsj->twmj", mass, onehot[lo : lo + step])
-        occ = _cesaro_rows(kernels.reshape(-1, m, m), initial=0).reshape(-1, n, m)
-        losses[lo : lo + step] = _price(problem.stakes, occ)[1]
-
+    onehot, losses = _scored_tables(problem, m_size)
     best = None
     for idx in np.flatnonzero(losses <= losses.min() + 1e-9):
         candidate = _exact_result(problem, onehot[idx], trace=())

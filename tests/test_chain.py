@@ -166,6 +166,29 @@ def test_stationary_rejects_malformed_kernel():
         stationary(np.array([[0.5, 0.4], [0.5, 0.5]]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_stationary_rejects_a_non_finite_kernel(bad):
+    with pytest.raises(ValueError, match="stochastic"):
+        stationary(np.array([[bad, 0.5], [0.5, 0.5]]))
+
+
+def test_positive_dense_kernel_is_solved_in_place_of_a_sparse_copy(monkeypatch):
+    """No ``SparseRows`` is built, the caller's array is left as it was, and
+    the occupancy is the dense elimination's, as for the same kernel sparse."""
+    q = np.random.default_rng(5).dirichlet(np.ones(60), size=60)
+    given = q.copy()
+    expected = stationary(SparseRows.from_dense(q))
+
+    def refuse(a):
+        raise AssertionError("a positive dense kernel was converted")
+
+    monkeypatch.setattr(SparseRows, "from_dense", refuse)
+    pi = stationary(q)
+    assert pi.tolist() == expected.tolist()
+    assert pi.tolist() == chain._dense_gth(given.copy(), range(60)).tolist()
+    np.testing.assert_array_equal(q, given)
+
+
 def test_stationary_handles_wide_occupancy_ranges():
     """Branch chains whose occupancies span many orders of magnitude."""
     model = SignalModel.from_rows([[0.8, 0.2], [0.2, 0.8]])

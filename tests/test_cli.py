@@ -115,6 +115,54 @@ def test_mechanism_missing_key_is_usage_exit(tmp_path, capsys):
     assert "'decision'" in capsys.readouterr().err
 
 
+def star_spec(**params):
+    blueprint = {"family": "star", "params": {"lam": 2, "delta": 5.0, **params}}
+    return {"problem": {"model": BINARY_JSON}, "mechanism": {"blueprint": blueprint}}
+
+
+@pytest.mark.parametrize("lam", [True, "3", 2.5, None])
+def test_eval_refuses_a_blueprint_param_of_the_wrong_json_type(tmp_path, capsys, lam):
+    assert run("eval", write_spec(tmp_path, star_spec(lam=lam)), tmp_path) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: mechanism.blueprint.params.lam must be a")
+    assert not (tmp_path / "eval.json").exists()
+
+
+@pytest.mark.parametrize("blueprint", [5, {"family": "star", "params": [2]}])
+def test_eval_refuses_a_blueprint_or_params_that_is_not_an_object(tmp_path, capsys, blueprint):
+    spec = {"problem": {"model": BINARY_JSON}, "mechanism": {"blueprint": blueprint}}
+    assert run("eval", write_spec(tmp_path, spec), tmp_path) == 2
+    assert capsys.readouterr().err.startswith("error: mechanism.blueprint must be an object")
+
+
+@pytest.mark.parametrize(
+    ("key", "value"),
+    [("lam", True), ("lam", "3"), ("lam", 2.5), ("lam", None), ("m_size", 9.5), ("delta", "5")],
+)
+def test_lam_sweep_refuses_a_blueprint_param_of_the_wrong_json_type(
+    tmp_path, capsys, key, value
+):
+    spec = {**star_spec(**{key: value}), "sweep": {"lam": [1, 2]}}
+    assert run("sweep", write_spec(tmp_path, spec), tmp_path) == 2
+    assert f"error: mechanism.blueprint.params.{key} must be a" in capsys.readouterr().err
+    assert not (tmp_path / "sweep.csv").exists()
+
+
+def test_disagree_names_the_agent_whose_blueprint_param_is_wrong(tmp_path, capsys):
+    star = star_spec()["mechanism"]
+    bad = {"blueprint": {"family": "line", "params": {"m_size": "4"}}}
+    spec = {"problem": {"model": BINARY_JSON}, "agents": [star, bad]}
+    assert run("disagree", write_spec(tmp_path, spec), tmp_path) == 2
+    assert "agents[1].blueprint.params.m_size" in capsys.readouterr().err
+
+
+def test_blueprint_reads_an_integral_float_as_an_integer(tmp_path):
+    assert run("eval", write_spec(tmp_path, star_spec(lam=2)), tmp_path / "int") == 0
+    assert run("eval", write_spec(tmp_path, star_spec(lam=2.0)), tmp_path / "float") == 0
+    int_bytes = (tmp_path / "int" / "eval.json").read_bytes()
+    assert (tmp_path / "float" / "eval.json").read_bytes() == int_bytes
+
+
 def test_command_tag_mismatch(tmp_path):
     spec = write_spec(
         tmp_path, {"command": "eval", "problem": {"model": BINARY_JSON}}

@@ -1,6 +1,7 @@
 """Exhaustive and annealed mechanism search."""
 
 import dataclasses
+import warnings
 from itertools import product
 
 import numpy as np
@@ -177,6 +178,69 @@ def test_cesaro_rows_match_power_averaging_oracle(name, initial):
     rows = _cesaro_rows(stack, initial)
     for got, q in zip(rows, stack):
         np.testing.assert_allclose(got, oracles.cesaro_occupancy(q, initial), atol=1e-12)
+
+
+# slow-mixing kernels and their limits from state 0, in closed form; the
+# Cesaro mean to horizon 2**50 of oracles.cesaro_occupancy misses all but
+# the first by 3e-12 to 2e-7
+SLOW_KERNELS = {
+    "rare escape": (
+        [[1 - 1e-9, 1e-9], [0.5, 0.5]],
+        [0.5 / (0.5 + 1e-9), 1e-9 / (0.5 + 1e-9)],
+    ),
+    "sticky pair": ([[1 - 1e-9, 1e-9], [1e-9, 1 - 1e-9]], [0.5, 0.5]),
+    "slow absorption": (
+        [[1 - 3e-6, 1e-6, 2e-6], [0, 1, 0], [0, 0, 1]],
+        [0, 1 / 3, 2 / 3],
+    ),
+    "slow entry to a sticky pair": (
+        [[1 - 1e-6, 1e-6, 0], [0, 1 - 1e-6, 1e-6], [0, 1e-6, 1 - 1e-6]],
+        [0, 0.5, 0.5],
+    ),
+    "sticky cycle": (
+        np.roll(np.eye(4), 1, axis=1) * 1e-4 + np.eye(4) * (1 - 1e-4),
+        [0.25] * 4,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SLOW_KERNELS))
+def test_cesaro_rows_reach_closed_form_limits_of_slow_kernels(name):
+    kernel, limit = SLOW_KERNELS[name]
+    stack = np.array(kernel, dtype=float)[None]
+    assert search._squarings(stack) < search._MAX_SQUARINGS
+    np.testing.assert_allclose(_cesaro_rows(stack, 0)[0], limit, rtol=0, atol=1e-14)
+
+
+def test_cesaro_rows_cap_the_squarings_for_a_tiny_entry_without_warning():
+    """p = 1e-300 asks for about 2,000 squarings; the cap of 60 holds."""
+    stack = np.array(
+        [[[1.0, 1e-300, 0.0], [0.5, 0.5, 0.0], [0.0, 0.0, 1.0]], np.eye(3)[[1, 2, 0]]]
+    )
+    assert search._squarings(stack) == search._MAX_SQUARINGS == 60
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows = _cesaro_rows(stack, 0)
+    np.testing.assert_allclose(rows, [[1.0, 0.0, 0.0], [1 / 3] * 3], rtol=0, atol=1e-14)
+    assert (rows >= 0.0).all()
+
+
+def test_cesaro_rows_of_single_state_kernels_are_ones():
+    stack = np.ones((3, 1, 1))
+    assert search._squarings(stack) == 0
+    np.testing.assert_array_equal(_cesaro_rows(stack, 0), np.ones((3, 1)))
+
+
+@pytest.mark.parametrize("m_size", [3, 4])
+def test_scores_match_exact_losses_on_a_slow_binary_model(m_size):
+    """The shortlist and a seeded sample of 0.999/0.001 scores, against re-solves."""
+    problem = uniform_problem(SignalModel.from_rows([[0.999, 0.001], [0.001, 0.999]]))
+    onehot, losses = search._scored_tables(problem, m_size)
+    shortlist = np.flatnonzero(losses <= losses.min() + 1e-9)
+    sample = np.random.default_rng(m_size).choice(len(losses), size=200, replace=False)
+    for idx in np.union1d(shortlist, sample):
+        exact = search._exact_result(problem, onehot[idx], trace=()).loss
+        assert abs(losses[idx] - exact) <= 1e-13, idx
 
 
 @pytest.mark.parametrize("name", sorted(FROZEN_WINNERS))
