@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -536,10 +537,14 @@ def monte_carlo_occupancy(
 
     Simulates ``steps`` act/observe/transit periods under state ``w`` and
     tallies the memory state occupied in each period after the first
-    ``burn_in``, plus the frequency of each action taken there.  Signals
-    are drawn i.i.d. from the state's density.  Deterministic transition
-    rows skip the inverse-CDF draw, which keeps long runs cheap for the
-    ladder-style mechanisms.
+    ``burn_in``, plus the frequency of each action taken there.  All
+    signals are drawn first, i.i.d. from the state's density, then one
+    uniform ``u`` per period; from state ``x`` on signal ``s`` the walk
+    moves to the first successor of row ``(x, s)`` whose running sum of
+    probabilities exceeds ``u`` (the last one if none does).  A row whose
+    largest entry is at least ``1 - 1e-12`` always takes its first largest
+    move.  One run estimates the stationary law only where the chain
+    mixes within it: a slow chain can end trapped far from that law.
     """
     if not 0 <= w < problem.n_states:
         raise ValueError(f"state {w} out of range")
@@ -548,41 +553,36 @@ def monte_carlo_occupancy(
             f"need steps > burn_in >= 0, got steps={steps} burn_in={burn_in}"
         )
     rng = np.random.default_rng(seed)
-    total = steps
-    signals = rng.choice(mech.alphabet_size, size=total, p=problem.model.mass[w])
-    uniforms = rng.random(total)
+    rows, k = mech.rows, mech.alphabet_size
+    signals = rng.choice(k, size=steps, p=problem.model.mass[w]).tolist()
+    uniforms = rng.random(steps).tolist()
 
-    rows = mech.rows
-    indptr = rows.indptr.tolist()
-    successors = rows.index.tolist()
-    deterministic: list[list[int | None]] = []
-    cumulative: list[list[tuple]] = []
-    for m in range(mech.m_size):
-        det_row: list[int | None] = []
-        cum_row: list[tuple] = []
-        for r in range(m * mech.alphabet_size, (m + 1) * mech.alphabet_size):
-            start, stop = indptr[r], indptr[r + 1]
-            row = rows.value[start:stop]
-            top = int(np.argmax(row))
-            det_row.append(successors[start + top] if row[top] >= 1.0 - 1e-12 else None)
-            cum_row.append((tuple(np.cumsum(row)), successors[start:stop]))
-        deterministic.append(det_row)
-        cumulative.append(cum_row)
-
-    counts = np.zeros(mech.m_size)
-    m = mech.initial_state
-    sig_list = signals.tolist()
-    uni_list = uniforms.tolist()
-    for t in range(total):
-        if t >= burn_in:
-            counts[m] += 1.0
-        s = sig_list[t]
-        jump = deterministic[m][s]
-        if jump is None:
-            cum, targets = cumulative[m][s]
-            jump = targets[min(bisect_right(cum, uni_list[t]), len(targets) - 1)]
-        m = jump
-    occupancy = counts / (steps - burn_in)
+    start, stop, value = rows.indptr[:-1], rows.indptr[1:], rows.value
+    entry, row_of = np.arange(rows.nnz), rows.row_index
+    # Running sums within each row, added in np.cumsum's order: entry j
+    # gains entry j - 1 for every row longer than j.
+    cum, pos = value.copy(), entry - start[row_of]
+    order = np.argsort(pos, kind="stable")
+    for at in np.split(order, np.cumsum(np.bincount(pos))[:-1])[1:]:
+        cum[at] += cum[at - 1]
+    # A near-certain row searches only its first largest entry.
+    top = np.maximum.reduceat(value, start)
+    first = np.minimum.reduceat(np.where(value == top[row_of], entry, rows.nnz), start)
+    sure = top >= 1.0 - 1e-12
+    last = np.where(sure, first, stop - 1)
+    cum[last] = np.inf
+    # A state x is held as x * k, so row (x, s) is x + s.
+    cum, succ = cum.tolist(), (rows.index * k).tolist()
+    lo, hi = np.where(sure, first, start).tolist(), (last + 1).tolist()
+    walk = zip(signals, uniforms)
+    x = mech.initial_state * k
+    for s, u in islice(walk, burn_in):
+        x = succ[bisect_right(cum, u, lo[x + s], hi[x + s])]
+    counts = [0] * (mech.m_size * k)
+    for s, u in walk:
+        counts[x] += 1
+        x = succ[bisect_right(cum, u, lo[x + s], hi[x + s])]
+    occupancy = np.array(counts[::k], dtype=float) / (steps - burn_in)
     frequencies = np.zeros(problem.n_states)
     np.add.at(frequencies, mech.decision, occupancy)
     return occupancy, frequencies

@@ -32,6 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from .automata import (
+    BLUEPRINT_FAMILIES,
     MechanismBlueprint,
     UpdatingMechanism,
     build_from_blueprint,
@@ -92,9 +93,15 @@ def _number(value, name: str, integral: bool = False):
 
 
 def _blueprint(obj: dict, where: str) -> MechanismBlueprint:
-    """A blueprint from the spec, each parameter checked by :func:`_number`."""
+    """A blueprint from the spec: a known family, each parameter checked by :func:`_number`."""
     if not isinstance(obj, dict) or not isinstance(obj.get("params", {}), dict):
         raise SpecFormatError(f"{where} must be an object, with an object of params")
+    family = obj.get("family")
+    if not isinstance(family, str) or family not in BLUEPRINT_FAMILIES:
+        raise SpecFormatError(
+            f"{where}.family must be one of {', '.join(BLUEPRINT_FAMILIES)}, "
+            f"got {json.dumps(family)}"
+        )
     blueprint = _parse(MechanismBlueprint, obj, "blueprint")
     params = {
         key: _number(value, f"{where}.params.{key}", integral=key in INTEGRAL_PARAMS)
@@ -407,21 +414,21 @@ def cmd_closed_forms(spec: ExperimentSpec, out: Path, seed: int, fmt: str) -> in
     for key in CLOSED_FORM_KEYS[name]:
         if key not in section:
             raise SpecFormatError(f"closed form {name!r} has no key {key!r}")
+    num = {
+        key: _number(section[key], f"closed_form.{key}", integral=key in ("lam", "n", "w"))
+        for key in CLOSED_FORM_KEYS[name]
+    }
     if name == "pair_commitment":
-        result = pair_commitment_losses(
-            float(section["nu"]), float(section["tau"]), float(section["ups"])
-        )
+        result = pair_commitment_losses(num["nu"], num["tau"], num["ups"])
         payload = result.to_json()
         csv_rows = sorted(payload["losses"].items())
         header = ("pattern", "loss")
         summary = f"argmin={payload['argmin']}"
     elif name == "symmetric":
-        u_full, u_ignorant, better = symmetric_utilities(
-            int(section["n"]), float(section["info"])
-        )
+        u_full, u_ignorant, better = symmetric_utilities(num["n"], num["info"])
         payload = {
-            "n": int(section["n"]),
-            "info": float(section["info"]),
+            "n": num["n"],
+            "info": num["info"],
             "u_full": u_full,
             "u_ignorant": u_ignorant,
             "ignorant_better": better,
@@ -435,14 +442,8 @@ def cmd_closed_forms(spec: ExperimentSpec, out: Path, seed: int, fmt: str) -> in
         summary = f"ignorant_better={better}"
     else:
         model = spec.model()
-        occ = star_occupancy_closed_form(
-            model,
-            None,
-            int(section["lam"]),
-            float(section["delta"]),
-            int(section["w"]),
-        )
-        payload = {"w": int(section["w"]), "occupancy": [float(x) for x in occ]}
+        occ = star_occupancy_closed_form(model, None, num["lam"], num["delta"], num["w"])
+        payload = {"w": num["w"], "occupancy": [float(x) for x in occ]}
         csv_rows = list(enumerate(float(x) for x in occ))
         header = ("memory_state", "mass")
         summary = f"states={occ.size}"

@@ -4,10 +4,13 @@ Nothing in here reuses the package's solvers: occupancies come from
 brute-force power averaging, ladder chains from exact rational
 arithmetic, star occupancies from the geometric form in ``mpmath``,
 class splits from ``networkx``'s condensation, and optimal pattern
-losses from a generic numeric optimizer.  The one exception is
-:func:`sequential_anneal`, the annealer's former restart-by-restart loop
-kept as the reference for the lockstep one: it shares the package's
-pricing and exact re-solve, because only the order of the walk changed.
+losses from a generic numeric optimizer.  The exceptions are former
+loops kept as references for their faster replacements, which must match
+them bit for bit: :func:`sequential_anneal`, the annealer's
+restart-by-restart loop, shares the package's pricing and exact
+re-solve, because only the order of the walk changed; and
+:func:`sequential_monte_carlo` is the Monte Carlo walk's per-row set-up
+and loop.
 Expected values in the test modules were produced by these functions
 (and are frozen there as literals); the cheap ones are also called
 directly inside tests to cross-check the fast implementations.
@@ -17,6 +20,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 import math
+from bisect import bisect_right
 from dataclasses import replace
 from itertools import product
 
@@ -353,3 +357,51 @@ def sequential_anneal(problem, config):
             trace=tuple(events) + ((config.restarts * config.iterations, result.loss),),
         )
     return result
+
+
+def sequential_monte_carlo(problem, mech, w, steps, burn_in=0, seed=0):
+    """``famlearn.monte_carlo_occupancy`` as it ran with a per-row set-up loop.
+
+    Builds each row's cumulative sums and deterministic jump one row at a
+    time, then walks with numpy-array counts; the flat-table walk must
+    return this occupancy and these frequencies bit for bit.
+    """
+    rng = np.random.default_rng(seed)
+    total = steps
+    signals = rng.choice(mech.alphabet_size, size=total, p=problem.model.mass[w])
+    uniforms = rng.random(total)
+
+    rows = mech.rows
+    indptr = rows.indptr.tolist()
+    successors = rows.index.tolist()
+    deterministic: list[list[int | None]] = []
+    cumulative: list[list[tuple]] = []
+    for m in range(mech.m_size):
+        det_row: list[int | None] = []
+        cum_row: list[tuple] = []
+        for r in range(m * mech.alphabet_size, (m + 1) * mech.alphabet_size):
+            start, stop = indptr[r], indptr[r + 1]
+            row = rows.value[start:stop]
+            top = int(np.argmax(row))
+            det_row.append(successors[start + top] if row[top] >= 1.0 - 1e-12 else None)
+            cum_row.append((tuple(np.cumsum(row)), successors[start:stop]))
+        deterministic.append(det_row)
+        cumulative.append(cum_row)
+
+    counts = np.zeros(mech.m_size)
+    m = mech.initial_state
+    sig_list = signals.tolist()
+    uni_list = uniforms.tolist()
+    for t in range(total):
+        if t >= burn_in:
+            counts[m] += 1.0
+        s = sig_list[t]
+        jump = deterministic[m][s]
+        if jump is None:
+            cum, targets = cumulative[m][s]
+            jump = targets[min(bisect_right(cum, uni_list[t]), len(targets) - 1)]
+        m = jump
+    occupancy = counts / (steps - burn_in)
+    frequencies = np.zeros(problem.n_states)
+    np.add.at(frequencies, mech.decision, occupancy)
+    return occupancy, frequencies

@@ -18,6 +18,7 @@ from famlearn import (
     build_line,
     build_noisy_star,
     build_star,
+    build_symmetric_full,
     disagreement_probability,
     expected_transition_matrix,
     joint_occupancy,
@@ -489,6 +490,103 @@ def test_monte_carlo_validates_steps(ladder_problem, ladder4):
         monte_carlo_occupancy(ladder_problem, ladder4, 0, steps=10, burn_in=10)
     with pytest.raises(ValueError):
         monte_carlo_occupancy(ladder_problem, ladder4, 5, steps=10)
+
+
+def assert_same_walk(problem, mech, w, steps, burn_in, seed):
+    got = monte_carlo_occupancy(problem, mech, w, steps, burn_in, seed)
+    want = oracles.sequential_monte_carlo(problem, mech, w, steps, burn_in, seed)
+    for a, b in zip(got, want):
+        assert a.tobytes() == b.tobytes()
+
+
+@st.composite
+def walk_cases(draw):
+    """A random mechanism mixing dense, sparse, deterministic, near-certain and tied rows."""
+    m = draw(st.integers(min_value=1, max_value=6))
+    k = draw(st.integers(min_value=2, max_value=4))
+    n = draw(st.integers(min_value=1, max_value=3))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    tr = np.zeros((m, k, m))
+    for row in tr.reshape(m * k, m):
+        kind = draw(st.sampled_from(["dense", "sparse", "deterministic", "near_certain", "tied"]))
+        if kind == "deterministic" or (kind == "near_certain" and m == 1):
+            row[rng.integers(m)] = 1.0
+        elif kind == "near_certain":
+            # within 1e-12 of 1, on the rule's edge, or just outside it
+            eps = draw(st.sampled_from([1e-13, 1e-12, 2e-12]))
+            big, small = rng.choice(m, size=2, replace=False)
+            row[big], row[small] = 1.0 - eps, eps
+        else:
+            support = rng.random(m) < 0.5 if kind == "sparse" else np.ones(m, dtype=bool)
+            support[rng.integers(m)] = True
+            weights = np.ones(m) if kind == "tied" else rng.random(m) + 1e-3
+            row[support] = weights[support] / weights[support].sum()
+    mech = UpdatingMechanism(
+        m_size=m,
+        transition=tr,
+        decision=rng.integers(n, size=m),
+        initial_state=draw(st.integers(min_value=0, max_value=m - 1)),
+    )
+    mass = rng.random((n, k)) + 0.05
+    problem = uniform_problem(SignalModel.from_rows(mass / mass.sum(axis=1, keepdims=True)))
+    w = draw(st.integers(min_value=0, max_value=n - 1))
+    burn_in = draw(st.sampled_from([0, 1, 250]))
+    return problem, mech, w, burn_in, draw(st.integers(min_value=0, max_value=2**31))
+
+
+@settings(max_examples=80, deadline=None)
+@given(walk_cases())
+def test_monte_carlo_matches_the_per_row_walk_bitwise(case):
+    problem, mech, w, burn_in, seed = case
+    assert_same_walk(problem, mech, w, 2000, burn_in, seed)
+
+
+class AlternatingDraws:
+    """Stands in for ``default_rng``: signals 0, 1, 0, ... and uniforms at the ends of [0, 1)."""
+
+    def __init__(self, seed):
+        pass
+
+    def choice(self, k, size, p):
+        return np.resize([0, 1], size)
+
+    def random(self, size):
+        return np.resize([np.nextafter(1.0, 0.0), 0.0], size)
+
+
+def test_monte_carlo_clamps_to_the_last_successor_and_obeys_near_certain_rows(
+    binary_model, monkeypatch
+):
+    # Signal 0: ten entries of 0.1, whose running sum ends just below 1, so
+    # the largest uniform falls past it and must take the last successor.
+    # Signal 1: the largest entry comes second, so a zero uniform would
+    # take the first one unless the near-certain rule applies.
+    tr = np.zeros((10, 2, 10))
+    tr[:, 0, :] = 0.1
+    tr[:, 1, :2] = [1e-13, 1.0 - 1e-13]
+    mech = UpdatingMechanism(m_size=10, transition=tr, decision=np.zeros(10, dtype=int))
+    problem = uniform_problem(binary_model)
+    monkeypatch.setattr(np.random, "default_rng", AlternatingDraws)
+    occ, _ = monte_carlo_occupancy(problem, mech, 0, steps=6)
+    np.testing.assert_array_equal(occ * 6, [1, 2, 0, 0, 0, 0, 0, 0, 0, 3])
+    assert_same_walk(problem, mech, 0, 6, 0, 0)
+
+
+@pytest.mark.parametrize("burn_in", [0, 1000])
+@pytest.mark.parametrize("family", ["line", "noisy_star", "symmetric_full", "star lam=2000"])
+def test_monte_carlo_matches_the_per_row_walk_bitwise_on_builders(family, burn_in):
+    model = SignalModel.from_rows([[0.6, 0.4], [0.4, 0.6]])
+    if family == "line":
+        mech = build_line(model, 6)
+    elif family == "noisy_star":
+        mech = build_noisy_star(model, lam=2, delta=5.0, gamma=0.5)
+    elif family == "symmetric_full":
+        mech, model = build_symmetric_full(4, 2.0, 0.5)
+    else:
+        mech = build_star(model, 2000, 5.0)
+    problem = uniform_problem(model)
+    for w, seed in [(0, 3), (model.n_states - 1, 11)]:
+        assert_same_walk(problem, mech, w, 40_000, burn_in, seed)
 
 
 # --- two agents on the same signals -----------------------------------------

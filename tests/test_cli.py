@@ -156,6 +156,32 @@ def test_disagree_names_the_agent_whose_blueprint_param_is_wrong(tmp_path, capsy
     assert "agents[1].blueprint.params.m_size" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("family", [7, None, "mystery", ["star"]])
+def test_eval_refuses_an_unknown_blueprint_family(tmp_path, capsys, family):
+    spec = star_spec()
+    spec["mechanism"]["blueprint"]["family"] = family
+    assert run("eval", write_spec(tmp_path, spec), tmp_path) == 2
+    assert capsys.readouterr().err.startswith("error: mechanism.blueprint.family must be one of")
+    assert not (tmp_path / "eval.json").exists()
+
+
+def test_lam_sweep_refuses_an_unknown_blueprint_family(tmp_path, capsys):
+    spec = {**star_spec(), "sweep": {"lam": [1, 2]}}
+    spec["mechanism"]["blueprint"]["family"] = 7
+    assert run("sweep", write_spec(tmp_path, spec), tmp_path) == 2
+    assert "error: mechanism.blueprint.family must be one of" in capsys.readouterr().err
+    assert not (tmp_path / "sweep.csv").exists()
+
+
+def test_disagree_names_the_agent_whose_blueprint_family_is_unknown(tmp_path, capsys):
+    star = star_spec()["mechanism"]
+    bad = {"blueprint": {"family": 7, "params": {"m_size": 4}}}
+    spec = {"problem": {"model": BINARY_JSON}, "agents": [star, bad]}
+    assert run("disagree", write_spec(tmp_path, spec), tmp_path) == 2
+    assert "agents[1].blueprint.family must be one of" in capsys.readouterr().err
+    assert not (tmp_path / "disagree.json").exists()
+
+
 def test_blueprint_reads_an_integral_float_as_an_integer(tmp_path):
     assert run("eval", write_spec(tmp_path, star_spec(lam=2)), tmp_path / "int") == 0
     assert run("eval", write_spec(tmp_path, star_spec(lam=2.0)), tmp_path / "float") == 0
@@ -784,6 +810,48 @@ def test_closed_forms_star_occupancy(tmp_path):
     occ = payload["result"]["occupancy"]
     assert len(occ) == 7
     assert sum(occ) == pytest.approx(1.0, abs=1e-12)
+
+
+CLOSED_FORM_SECTIONS = {
+    "symmetric": {"name": "symmetric", "n": 10, "info": 2.0},
+    "star": {"name": "star", "lam": 3, "delta": 5.0, "w": 0},
+}
+
+
+@pytest.mark.parametrize("value", [True, None, "3", 2.5])
+@pytest.mark.parametrize(
+    ("name", "key"), [("star", "lam"), ("star", "w"), ("symmetric", "n")]
+)
+def test_closed_forms_refuse_an_integral_key_of_the_wrong_json_type(
+    tmp_path, capsys, name, key, value
+):
+    section = {**CLOSED_FORM_SECTIONS[name], key: value}
+    spec = write_spec(tmp_path, {"problem": {"model": BINARY_JSON}, "closed_form": section})
+    assert run("closed-forms", spec, tmp_path) == 2
+    assert capsys.readouterr().err.startswith(f"error: closed_form.{key} must be a")
+    assert not (tmp_path / "closed_forms.json").exists()
+
+
+@pytest.mark.parametrize(("key", "value"), [("delta", True), ("info", "2"), ("nu", None)])
+def test_closed_forms_refuse_a_real_key_of_the_wrong_json_type(tmp_path, capsys, key, value):
+    section = {
+        "delta": {**CLOSED_FORM_SECTIONS["star"], "delta": value},
+        "info": {**CLOSED_FORM_SECTIONS["symmetric"], "info": value},
+        "nu": {"name": "pair_commitment", "nu": value, "tau": 3.0, "ups": 8.0},
+    }[key]
+    spec = write_spec(tmp_path, {"problem": {"model": BINARY_JSON}, "closed_form": section})
+    assert run("closed-forms", spec, tmp_path) == 2
+    assert capsys.readouterr().err.startswith(f"error: closed_form.{key} must be a number")
+
+
+@pytest.mark.parametrize(("name", "key"), [("star", "lam"), ("star", "w"), ("symmetric", "n")])
+def test_closed_forms_read_an_integral_float_as_an_integer(tmp_path, name, key):
+    section = CLOSED_FORM_SECTIONS[name]
+    for label, value in [("int", section[key]), ("float", float(section[key]))]:
+        payload = {"problem": {"model": BINARY_JSON}, "closed_form": {**section, key: value}}
+        assert run("closed-forms", write_spec(tmp_path, payload), tmp_path / label) == 0
+    int_bytes = (tmp_path / "int" / "closed_forms.json").read_bytes()
+    assert (tmp_path / "float" / "closed_forms.json").read_bytes() == int_bytes
 
 
 def test_closed_forms_unknown_name(tmp_path):
