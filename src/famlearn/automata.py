@@ -162,11 +162,8 @@ class UpdatingMechanism:
     def to_json(self) -> dict:
         return {
             "m": self.m_size,
-            "transition": [
-                [[float(x) for x in row] for row in per_signal]
-                for per_signal in self.transition
-            ],
-            "decision": [int(a) for a in self.decision],
+            "transition": self.transition.tolist(),
+            "decision": self.decision.tolist(),
             "initial": int(self.initial_state),
         }
 

@@ -59,8 +59,8 @@ class Problem:
             raise ValueError(f"need one utility per state, got shape {utilities.shape}")
         if prior.shape != (n,):
             raise ValueError(f"need one prior weight per state, got shape {prior.shape}")
-        if not (utilities > 0).all():
-            raise ValueError("utilities must be strictly positive")
+        if not ((utilities > 0) & (utilities < np.inf)).all():
+            raise ValueError(f"utilities must be finite and positive, got {utilities.tolist()}")
         if not (prior > 0).all():
             raise ValueError("prior must be strictly positive")
         if abs(prior.sum() - 1.0) > 1e-12:
@@ -87,8 +87,8 @@ class Problem:
     def to_json(self) -> dict:
         return {
             "model": self.model.to_json(),
-            "utilities": [float(x) for x in self.utilities],
-            "prior": [float(x) for x in self.prior],
+            "utilities": self.utilities.tolist(),
+            "prior": self.prior.tolist(),
         }
 
     @classmethod
@@ -137,7 +137,7 @@ class StationaryProfile:
         return self.occupancy.shape[1]
 
     def to_json(self) -> dict:
-        return {"occupancy": [[float(x) for x in row] for row in self.occupancy]}
+        return {"occupancy": self.occupancy.tolist()}
 
 
 def _check_kernel(q):

@@ -4,8 +4,8 @@ Each run reads one JSON experiment spec, executes one subcommand, writes
 its artifacts under ``--out``, and prints a one-line summary to stdout.
 There is no interactive mode and no ambient randomness: every stochastic
 step is driven by an explicit seed from the spec (or ``--seed``), and
-outputs are written atomically and deterministically, so rerunning a
-spec reproduces the artifacts byte for byte.
+outputs are written atomically and deterministically (JSON compactly, on
+one line, keys sorted), so rerunning a spec reproduces them byte for byte.
 
 Exit codes: 0 on success, 1 when the mathematics rejects the request
 (domain errors such as invalid models, unsatisfiable drift conditions,
@@ -25,7 +25,6 @@ import io
 import json
 import os
 import sys
-import tempfile
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -243,21 +242,22 @@ class ExperimentSpec:
 
 def _atomic_write(path: Path, data: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    handle = tempfile.NamedTemporaryFile(
-        mode="w", dir=path.parent, prefix=f".{path.name}.", delete=False
-    )
+    # Mode 0666 less the umask, as open() gives; os.replace keeps the mode.
+    tmp = path.parent / f".{path.name}.{os.urandom(6).hex()}"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with handle:
+        with open(fd, "w") as handle:
             handle.write(data)
-        os.replace(handle.name, path)
+        os.replace(tmp, path)
     except BaseException:
-        os.unlink(handle.name)
+        os.unlink(tmp)
         raise
 
 
 def write_json(path: Path, obj) -> None:
+    # Compact, so json.dumps takes its C encoder; floats keep their repr.
     # NaN and Infinity are not JSON: refuse them (exit 1) rather than write them.
-    text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
+    text = json.dumps(obj, sort_keys=True, allow_nan=False, separators=(",", ":"))
     _atomic_write(path, text + "\n")
 
 
@@ -398,7 +398,7 @@ def cmd_disagree(spec: ExperimentSpec, out: Path, seed: int, fmt: str) -> int:
     overall = float(problem.prior @ per_state)
     write_json(
         out / "disagree.json",
-        {"per_state": [float(x) for x in per_state], "overall": overall},
+        {"per_state": per_state.tolist(), "overall": overall},
     )
     print(f"disagree: overall={_fmt(overall)} -> {out / 'disagree.json'}")
     return 0
@@ -443,8 +443,8 @@ def cmd_closed_forms(spec: ExperimentSpec, out: Path, seed: int, fmt: str) -> in
     else:
         model = spec.model()
         occ = star_occupancy_closed_form(model, None, num["lam"], num["delta"], num["w"])
-        payload = {"w": num["w"], "occupancy": [float(x) for x in occ]}
-        csv_rows = list(enumerate(float(x) for x in occ))
+        payload = {"w": num["w"], "occupancy": occ.tolist()}
+        csv_rows = list(enumerate(payload["occupancy"]))
         header = ("memory_state", "mass")
         summary = f"states={occ.size}"
     if fmt == "csv":

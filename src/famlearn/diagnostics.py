@@ -205,16 +205,13 @@ class DiagnosticsReport:
     world_class: WorldClassification
 
     def to_json(self) -> dict:
-        def scrub(value: float):
-            return float(value) if math.isfinite(value) else None
+        def scrub(a: np.ndarray) -> list:
+            return np.where(np.isfinite(a), a, None).tolist()
 
         return {
-            "likelihood_ratios": [
-                [[scrub(x) for x in row] for row in block]
-                for block in self.likelihood_ratios
-            ],
-            "spreads": [[scrub(x) for x in row] for row in self.spreads],
-            "spread_bounds": [[scrub(x) for x in row] for row in self.spread_bounds],
+            "likelihood_ratios": scrub(self.likelihood_ratios),
+            "spreads": scrub(self.spreads),
+            "spread_bounds": scrub(self.spread_bounds),
             "ignored_states": sorted(int(w) for w in self.ignored_states),
             "world_class": self.world_class.to_json(),
         }

@@ -47,7 +47,7 @@ class SignalModel:
     """Per-state signal distributions over a finite alphabet.
 
     ``mass[w, s]`` is the probability of signal ``s`` when the state of the
-    world is ``w``.  The constructor only enforces shape consistency;
+    world is ``w``.  The constructor only enforces shape and finiteness;
     numeric well-formedness (row sums, nonnegativity, full support) is the
     job of :func:`validate`, so that malformed inputs can be *reported*
     rather than exploded on.
@@ -72,6 +72,8 @@ class SignalModel:
                 f"mass shape {mass.shape} does not match "
                 f"({self.n_states}, {self.alphabet_size})"
             )
+        if not np.isfinite(mass).all():
+            raise ValueError(f"mass must be finite, got {float(mass[~np.isfinite(mass)][0])}")
         mass.setflags(write=False)
         object.__setattr__(self, "mass", mass)
 
@@ -85,7 +87,7 @@ class SignalModel:
         return {
             "states": self.n_states,
             "alphabet": self.alphabet_size,
-            "mass": [[float(x) for x in row] for row in self.mass],
+            "mass": self.mass.tolist(),
         }
 
     @classmethod
@@ -135,7 +137,7 @@ class ValidationReport:
     ``failures`` lists malformed rows by index; ``identical_pairs`` lists
     state pairs that are numerically indistinguishable.  ``min_ratio`` is
     the smallest cross-state density ratio found (the model's effective
-    support bound), or ``nan`` when rows are too malformed to compare.
+    support bound), ``inf`` for a one-state model.
     """
 
     ok: bool
@@ -188,9 +190,6 @@ def validate(model: SignalModel, varsigma: float) -> ValidationReport:
     mass = model.mass
     for i in range(model.n_states):
         row = mass[i]
-        if not np.isfinite(row).all():
-            failures.append(f"row {i}: non-finite entries")
-            continue
         if (row < 0).any():
             failures.append(f"row {i}: negative mass at signal {int(np.argmin(row))}")
         total = float(row.sum())
@@ -203,7 +202,7 @@ def validate(model: SignalModel, varsigma: float) -> ValidationReport:
             if np.max(np.abs(mass[w] - mass[w2])) < IDENTICAL_ROW_TOL:
                 identical.append((w, w2))
 
-    min_ratio = min_density_ratio(model) if np.isfinite(mass).all() else math.nan
+    min_ratio = min_density_ratio(model)
     ok = (
         not failures
         and not identical

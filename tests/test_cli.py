@@ -23,6 +23,7 @@ from famlearn import (
     SignalModel,
     UpdatingMechanism,
     build_line,
+    build_star,
     cli,
     pair_commitment_problem,
     rademacher_family,
@@ -566,6 +567,78 @@ def test_write_csv_refuses_non_finite_numbers_and_writes_nothing(tmp_path, value
     with pytest.raises(ValueError, match="non-finite"):
         cli.write_csv(path, ("iteration", "best_loss"), [(0, 0.5), (1, value)])
     assert not path.parent.exists() or not any(path.parent.iterdir())
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_write_json_refuses_non_finite_numbers_and_writes_nothing(tmp_path, value):
+    path = tmp_path / "out" / "rows.json"
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        cli.write_json(path, {"iteration": [0, 1], "best_loss": [0.5, value]})
+    assert not path.parent.exists() or not any(path.parent.iterdir())
+
+
+def test_write_json_is_compact_and_round_trips_extreme_floats_bit_for_bit(tmp_path):
+    values = [5e-324, -0.0, 1.7976931348623157e308]
+    path = tmp_path / "values.json"
+    cli.write_json(path, {"values": values, "name": "x"})
+    assert path.read_text() == '{"name":"x","values":[5e-324,-0.0,1.7976931348623157e+308]}\n'
+    assert [x.hex() for x in json.loads(path.read_text())["values"]] == [
+        x.hex() for x in values
+    ]
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+def test_artifacts_get_the_mode_a_plain_open_gives(tmp_path, umask, mode):
+    previous = os.umask(umask)
+    try:
+        cli.write_json(tmp_path / "a.json", {"x": 1})
+        cli.write_csv(tmp_path / "a.csv", ("x",), [(1,)])
+        cli.write_json(tmp_path / "a.json", {"x": 2})
+    finally:
+        os.umask(previous)
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["a.csv", "a.json"]
+    for name in ("a.csv", "a.json"):
+        assert (tmp_path / name).stat().st_mode & 0o777 == mode
+
+
+INF_UTILITY = {"model": BINARY_JSON, "utilities": [1.0, float("inf")]}
+NAN_MASS = {"model": {**BINARY_JSON, "mass": [[float("nan"), 0.2], [0.2, 0.8]]}}
+INF_MASS = {"model": {**BINARY_JSON, "mass": [[0.8, 0.2], [float("inf"), 0.8]]}}
+
+
+@pytest.mark.parametrize(
+    "command, problem, field",
+    [
+        ("eval", INF_UTILITY, "utilities"),
+        ("eval", NAN_MASS, "mass"),
+        ("eval", INF_MASS, "mass"),
+        ("validate", NAN_MASS, "mass"),
+    ],
+    ids=["eval-inf-utility", "eval-nan-mass", "eval-inf-mass", "validate-nan-mass"],
+)
+def test_non_finite_inputs_are_refused_by_name_and_write_nothing(
+    tmp_path, capsys, command, problem, field
+):
+    star = {"blueprint": {"family": "star", "params": {"lam": 3, "delta": 5.0}}}
+    spec = write_spec(tmp_path, {"problem": problem, "mechanism": star})
+    out = tmp_path / "out"
+    assert run(command, spec, out) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {field} must be finite"), err
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_eval_writes_every_occupancy_exactly(tmp_path):
+    """lam = 430: the hub's mass is about 1e-316, a subnormal."""
+    model = SignalModel.from_rows([[0.6, 0.4], [0.4, 0.6]])
+    star = {"blueprint": {"family": "star", "params": {"lam": 430, "delta": 5.0}}}
+    spec = write_spec(tmp_path, {"problem": {"model": model.to_json()}, "mechanism": star})
+    assert run("eval", spec, tmp_path) == 0
+    profile = famlearn.occupancy_profile(uniform_problem(model), build_star(model, 430, 5.0))
+    assert 0.0 < profile.occupancy[0, 0] < 1e-300
+    assert json.loads((tmp_path / "eval.json").read_text())["occupancy"] == (
+        profile.occupancy.tolist()
+    )
 
 
 def test_importing_the_cli_does_not_load_scipy():
