@@ -385,34 +385,34 @@ def _dense_gth(a: np.ndarray, members) -> np.ndarray:
     return pi / pi.sum()
 
 
-def _absorption_weights(q: SparseRows, classes, transient, initial: int) -> np.ndarray:
+def _absorption_weights(q: SparseRows, classes, initial: int) -> np.ndarray:
     """Probability of ending in each recurrent class, from ``initial``.
 
-    A single class takes all the mass without a solve; nearly closed
-    transient states would make that solve ill-conditioned.
+    Every recurrent state is sent back to ``initial``.  In that restart
+    chain each cycle from ``initial`` enters exactly one class once, and
+    what ``initial`` reaches is the only closed class, so a class's share
+    of the restart chain's occupancy is its absorption probability.  That
+    occupancy comes from the same subtraction-free elimination.
     """
     if len(classes) == 1:
         return np.ones(1)
-    weights = np.zeros(len(classes))
+    label = np.full(len(q), -1)
     for c, members in enumerate(classes):
-        if initial in members:
-            weights[c] = 1.0
-            return weights
-    t_index = {m: i for i, m in enumerate(transient)}
-    lhs = np.eye(len(transient)) - q.block(transient, transient)
-    for c, members in enumerate(classes):
-        rhs = q.block(transient, members).sum(axis=1)
-        try:
-            hit = np.linalg.solve(lhs, rhs)
-        except np.linalg.LinAlgError as exc:
-            raise SolverError(f"absorption system is singular: {exc}") from exc
-        weights[c] = hit[t_index[initial]]
-    if abs(weights.sum() - 1.0) > 1e-9:
-        raise SolverError(
-            "absorption probabilities do not sum to 1",
-            residual=float(abs(weights.sum() - 1.0)),
-        )
-    return weights
+        label[members] = c
+    if label[initial] >= 0:
+        return np.eye(len(classes))[label[initial]]
+    keep = label[q.row_index] < 0
+    recurrent = np.flatnonzero(label >= 0)
+    restart = SparseRows.from_entries(
+        np.concatenate([q.row_index[keep], recurrent]),
+        np.concatenate([q.index[keep], np.full(recurrent.size, initial)]),
+        np.concatenate([q.value[keep], np.ones(recurrent.size)]),
+        len(q),
+        len(q),
+    )
+    visits = stationary(restart, initial)[recurrent]
+    weights = np.bincount(label[recurrent], weights=visits, minlength=len(classes))
+    return weights / weights.sum()
 
 
 def stationary(q, initial: int = 0) -> np.ndarray:
@@ -439,8 +439,8 @@ def stationary(q, initial: int = 0) -> np.ndarray:
         pi = _dense_gth(q.copy() if dense else q.dense(), range(n))
         _check_residual(pi, q)
         return pi
-    classes, transient = recurrent_classes(q)
-    weights = _absorption_weights(q, classes, transient, initial)
+    classes, _ = recurrent_classes(q)
+    weights = _absorption_weights(q, classes, initial)
     pi = np.zeros(n)
     for weight, members in zip(weights, classes):
         if weight > 0.0:

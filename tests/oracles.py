@@ -3,8 +3,9 @@
 Nothing in here reuses the package's solvers: occupancies come from
 brute-force power averaging, ladder chains from exact rational
 arithmetic, star occupancies from the geometric form in ``mpmath``,
-class splits from ``networkx``'s condensation, and optimal pattern
-losses from a generic numeric optimizer.  The exceptions are former
+absorption from a hitting system solved in ``mpmath``, class splits
+from ``networkx``'s condensation, and optimal pattern losses from a
+generic numeric optimizer.  The exceptions are former
 loops kept as references for their faster replacements, which must match
 them bit for bit: :func:`sequential_anneal`, the annealer's
 restart-by-restart loop, shares the package's pricing and exact
@@ -219,6 +220,45 @@ def gth_mp(kernel: np.ndarray, digits: int = 40) -> np.ndarray:
             pi.append(mpmath.fdot([a[i][j] for i in range(j)], pi))
         total = mpmath.fsum(pi)
         return np.array([float(x / total) for x in pi])
+
+
+def absorption_mp(kernel: np.ndarray, initial: int, digits: int | None = None) -> np.ndarray:
+    """Long-run occupancy of a reducible kernel from ``initial``, in mpmath.
+
+    Classes come from :func:`recurrent_classes_nx`.  The probability of
+    ending in each class solves the hitting system ``(I - Q_TT) h = Q_TC 1``
+    by LU at ``digits``, and each class is weighted by :func:`gth_mp` on
+    its block.  Every diagonal is taken as 1 minus its row's off-diagonal
+    sum, as GTH does: a float kernel stores ``1 - 1e-300`` as exactly
+    ``1.0``, and a system read off that diagonal would be singular.  By
+    default ``digits`` leaves 100 digits over twice the smallest entry's
+    exponent, 700 for an entry of 1e-300.
+    """
+    kernel = np.asarray(kernel, dtype=np.float64)
+    if digits is None:
+        digits = 100 + 2 * math.ceil(-math.log10(kernel[kernel > 0.0].min()))
+    classes, transient = recurrent_classes_nx(kernel)
+    if initial in transient:
+        with mpmath.workdps(digits):
+            a = [[mpmath.mpf(float(x)) for x in row] for row in kernel]
+            lhs = mpmath.matrix(len(transient))
+            for r, i in enumerate(transient):
+                lhs[r, r] = mpmath.fsum(x for j, x in enumerate(a[i]) if j != i)
+                for c, j in enumerate(transient):
+                    if j != i:
+                        lhs[r, c] = -a[i][j]
+            start = transient.index(initial)
+            weights = [
+                mpmath.lu_solve(lhs, [mpmath.fsum(a[i][j] for j in members) for i in transient])[start]
+                for members in classes
+            ]
+            weights = [float(w) for w in weights]
+    else:
+        weights = [float(initial in members) for members in classes]
+    occupancy = np.zeros(len(kernel))
+    for weight, members in zip(weights, classes):
+        occupancy[members] = weight * gth_mp(kernel[np.ix_(members, members)], digits)
+    return occupancy
 
 
 def recurrent_classes_nx(kernel: np.ndarray):

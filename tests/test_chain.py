@@ -162,6 +162,100 @@ def test_stationary_absorbing_depends_on_start():
     np.testing.assert_allclose(stationary(q, initial=0), [1.0, 0.0, 0.0], atol=1e-12)
 
 
+@pytest.mark.parametrize("eps", [1e-6, 1e-10, 1e-12, 1e-14, 1e-300])
+def test_slow_exit_splits_exactly_between_absorbing_states(eps):
+    """The start keeps itself with probability 1 - eps and leaves 0.3/0.7 to
+    two absorbing states.  For small eps its diagonal rounds to 1, so only
+    a solver that never forms 1 - (1 - eps) finds the split."""
+    q = np.array([[1.0 - eps, 0.3 * eps, 0.7 * eps], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    for occupancy in (stationary(q), oracles.absorption_mp(q, 0)):
+        np.testing.assert_allclose(occupancy, [0.0, 0.3, 0.7], rtol=1e-15, atol=0.0)
+
+
+RARE_EXITS = [None, 1e-300, 1e-150, 1e-30, 1e-12, 1e-6]
+
+
+@st.composite
+def reducible_kernels(draw):
+    """3 to 11 states: one to three closed classes, some periodic cycles,
+    and transient states.  A transient state, or a member of a class that is
+    not a cycle, may leave itself only at a rate as rare as 1e-300.  States
+    are shuffled over the indices, and a transient row may point anywhere,
+    so some classes are out of the start's reach."""
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    sizes = draw(st.lists(st.integers(min_value=1, max_value=3), min_size=1, max_size=3))
+    closed = sum(sizes)
+    n = closed + draw(st.integers(min_value=max(0, 3 - closed), max_value=11 - closed))
+    order = rng.permutation(n)
+    q = np.zeros((n, n))
+    slow = []
+    for members in np.split(order[:closed], np.cumsum(sizes)[:-1]):
+        if len(members) > 1 and draw(st.booleans()):
+            q[members, np.roll(members, -1)] = 1.0
+            continue
+        square = (len(members),) * 2
+        q[np.ix_(members, members)] = rng.random(square) * (rng.random(square) < 0.6)
+        q[members, np.roll(members, -1)] += 0.5
+        if len(members) > 1:
+            slow.extend(members)
+    transient = order[closed:]
+    for t, i in enumerate(transient):
+        # A forced exit to a class or an earlier transient state keeps every
+        # transient state transient; the extra exits may point anywhere.
+        q[i, rng.choice(np.concatenate([order[:closed], transient[:t]]))] = 1.0
+        extra = rng.random(n) < 0.3
+        q[i, extra] += rng.random(extra.sum())
+        slow.append(i)
+    q /= q.sum(axis=1, keepdims=True)
+    for i in slow:
+        eps = draw(st.sampled_from(RARE_EXITS))
+        if eps is not None:
+            q[i, i] = 0.0
+            q[i] *= eps / q[i].sum()
+            q[i, i] = 1.0 - eps
+    initial = draw(st.sampled_from(transient.tolist() or [0]) | st.integers(0, n - 1))
+    return q, initial
+
+
+@settings(max_examples=100, deadline=None)
+@given(reducible_kernels())
+def test_reducible_occupancy_matches_high_precision_absorption(case):
+    q, initial = case
+    pi = stationary(q, initial)
+    ref = oracles.absorption_mp(q, initial)
+    tiny = np.finfo(np.float64).tiny
+    normal = ref >= tiny
+    np.testing.assert_allclose(pi[normal], ref[normal], rtol=1e-14, atol=0.0)
+    assert np.abs(pi[~normal] - ref[~normal]).max(initial=0.0) <= tiny
+
+
+WALK = 20_001
+
+
+@pytest.mark.parametrize("initial", [1, WALK // 3, WALK - 2])
+def test_absorbing_walk_stays_sparse_and_matches_gamblers_ruin(initial, monkeypatch):
+    """A fair walk whose two ends absorb ends at the top with probability
+    ``initial / (n - 1)``.  Its weights come from the sparse elimination
+    alone, never the dense block; a dense ``I - Q_TT`` would take 3.2 GB."""
+    inner = np.arange(1, WALK - 1)
+    q = SparseRows.from_sorted(
+        np.concatenate([[0], np.repeat(inner, 2), [WALK - 1]]),
+        np.concatenate([[0], np.stack([inner - 1, inner + 1], axis=1).ravel(), [WALK - 1]]),
+        np.concatenate([[1.0], np.full(2 * inner.size, 0.5), [1.0]]),
+        WALK,
+        WALK,
+    )
+
+    def refuse(a, members):
+        raise AssertionError("the absorbing walk fell back to the dense block")
+
+    monkeypatch.setattr(chain, "_dense_gth", refuse)
+    pi = stationary(q, initial)
+    ends = [WALK - 1 - initial, initial]
+    np.testing.assert_allclose(pi[[0, -1]], np.divide(ends, WALK - 1), rtol=1e-12, atol=0.0)
+    assert not pi[1:-1].any()
+
+
 def test_stationary_rejects_malformed_kernel():
     with pytest.raises(ValueError):
         stationary(np.array([[0.5, 0.4], [0.5, 0.5]]))
