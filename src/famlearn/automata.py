@@ -230,6 +230,22 @@ class MechanismBlueprint:
         return cls(family=str(obj["family"]), params=dict(obj.get("params", {})))
 
 
+def check_fit(mech: UpdatingMechanism, model: SignalModel, w: int) -> None:
+    """Refuse a state ``w``, signal or action that ``model`` does not have."""
+    if not 0 <= w < model.n_states:
+        raise ValueError(f"state {w} out of range")
+    if model.alphabet_size != mech.alphabet_size:
+        raise ValueError(
+            f"alphabet mismatch: model has {model.alphabet_size} signals, "
+            f"mechanism expects {mech.alphabet_size}"
+        )
+    if mech.decision.max() >= model.n_states:
+        raise ValueError(
+            f"decision names action {mech.decision.max()}, but the problem has "
+            f"only {model.n_states} actions"
+        )
+
+
 def transition_kernel(mech: UpdatingMechanism, model: SignalModel, w: int) -> SparseRows:
     """Signal-averaged one-period kernel ``Q^w`` when the true state is ``w``.
 
@@ -237,11 +253,7 @@ def transition_kernel(mech: UpdatingMechanism, model: SignalModel, w: int) -> Sp
     ``mass[w, s]``, added in signal order, so ``Q^w`` holds no more
     entries than the mechanism has moves.
     """
-    if model.alphabet_size != mech.alphabet_size:
-        raise ValueError(
-            f"alphabet mismatch: model has {model.alphabet_size} signals, "
-            f"mechanism expects {mech.alphabet_size}"
-        )
+    check_fit(mech, model, w)
     source, target, prob = mech.moves
     value = 0.0
     for s in range(mech.alphabet_size):

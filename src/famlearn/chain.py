@@ -3,10 +3,10 @@
 Fixing the true state of the world ``w``, a mechanism's memory state
 evolves as a Markov chain with kernel ``Q^w`` (signal-averaged
 transitions).  Everything asymptotic lives here: stationary/occupancy
-distributions (including the reducible case, resolved from the initial
-state via absorption probabilities), expected utility and loss, Monte
-Carlo cross-checks, and the synchronized two-agent product chain used
-for disagreement calculations.
+distributions (including the reducible case, where only what the
+initial state reaches is split and solved, by absorption probabilities),
+expected utility and loss, Monte Carlo cross-checks, and the
+synchronized two-agent product chain used for disagreement calculations.
 
 Occupancy is always the Cesaro limit of time spent in each memory state,
 which for a unichain is the stationary vector and in general is the
@@ -22,7 +22,7 @@ from itertools import islice
 
 import numpy as np
 
-from .automata import UpdatingMechanism, transition_kernel
+from .automata import UpdatingMechanism, check_fit, transition_kernel
 from .errors import SolverError
 from .signals import SignalModel
 from .sparse import SparseRows
@@ -157,19 +157,19 @@ def _check_kernel(q):
     return q
 
 
-def _strong_components(n: int, indptr: list, succ: list):
-    """Label every state with its strongly connected component.
+def _strong_components(n: int, indptr: list, succ: list, roots):
+    """Label every state reached from ``roots`` with its strongly connected component.
 
     Iterative Tarjan over the successor lists ``succ[indptr[v]:indptr[v+1]]``;
-    returns ``(n_components, labels)``.
+    returns ``(n_components, labels)``, with label -1 on unreached states.
     """
     index = [-1] * n
     low = [0] * n
     on_stack = [False] * n
-    labels = [0] * n
+    labels = [-1] * n
     stack = []
     counter = n_comp = 0
-    for root in range(n):
+    for root in roots:
         if index[root] >= 0:
             continue
         index[root] = low[root] = counter
@@ -219,13 +219,19 @@ def recurrent_classes(q):
     q = _check_kernel(q)
     if not isinstance(q, SparseRows):
         q = SparseRows.from_dense(q)
-    n_comp, labels = _strong_components(len(q), q.indptr.tolist(), q.index.tolist())
-    rows, cols = q.row_index, q.index
+    return _split(q, range(len(q)))
+
+
+def _split(q: SparseRows, roots):
+    """:func:`recurrent_classes` over the states reached from ``roots`` alone."""
+    n_comp, labels = _strong_components(len(q), q.indptr.tolist(), q.index.tolist(), roots)
+    reached = labels[q.row_index] >= 0
+    rows, cols = q.row_index[reached], q.index[reached]
     closed = np.ones(n_comp, dtype=bool)
     closed[labels[rows[labels[rows] != labels[cols]]]] = False
     classes = [np.flatnonzero(labels == c).tolist() for c in np.flatnonzero(closed)]
     classes.sort(key=lambda c: c[0])
-    transient = np.flatnonzero(~closed[labels]).tolist()
+    transient = np.flatnonzero((labels >= 0) & ~closed[labels]).tolist()
     return classes, transient
 
 
@@ -385,24 +391,21 @@ def _dense_gth(a: np.ndarray, members) -> np.ndarray:
     return pi / pi.sum()
 
 
-def _absorption_weights(q: SparseRows, classes, initial: int) -> np.ndarray:
-    """Probability of ending in each recurrent class, from ``initial``.
+def _absorption_weights(q: SparseRows, classes, transient, initial: int) -> np.ndarray:
+    """Probability of ending in each recurrent class, from a transient ``initial``.
 
-    Every recurrent state is sent back to ``initial``.  In that restart
-    chain each cycle from ``initial`` enters exactly one class once, and
-    what ``initial`` reaches is the only closed class, so a class's share
-    of the restart chain's occupancy is its absorption probability.  That
-    occupancy comes from the same subtraction-free elimination.
+    Every recurrent state is sent back to ``initial``.  Each cycle of that
+    restart chain enters exactly one class once, and its one closed class
+    is the reached transient states plus the recurrent states they enter,
+    so a class's share of its occupancy, found by the same subtraction-free
+    elimination, is the class's absorption probability.
     """
-    if len(classes) == 1:
-        return np.ones(1)
     label = np.full(len(q), -1)
     for c, members in enumerate(classes):
         label[members] = c
-    if label[initial] >= 0:
-        return np.eye(len(classes))[label[initial]]
-    keep = label[q.row_index] < 0
-    recurrent = np.flatnonzero(label >= 0)
+    keep = np.isin(q.row_index, transient)
+    members = np.union1d(transient, q.index[keep])
+    recurrent = members[label[members] >= 0]
     restart = SparseRows.from_entries(
         np.concatenate([q.row_index[keep], recurrent]),
         np.concatenate([q.index[keep], np.full(recurrent.size, initial)]),
@@ -410,8 +413,10 @@ def _absorption_weights(q: SparseRows, classes, initial: int) -> np.ndarray:
         len(q),
         len(q),
     )
-    visits = stationary(restart, initial)[recurrent]
-    weights = np.bincount(label[recurrent], weights=visits, minlength=len(classes))
+    pi = np.zeros(len(q))
+    pi[members] = _stationary_on_class(restart, members.tolist())
+    _check_residual(pi, restart)
+    weights = np.bincount(label[recurrent], weights=pi[recurrent], minlength=len(classes))
     return weights / weights.sum()
 
 
@@ -420,10 +425,10 @@ def stationary(q, initial: int = 0) -> np.ndarray:
 
     ``q`` is a dense array or a :class:`SparseRows` kernel.  For a
     unichain this is the unique stationary distribution, with zeros on
-    the transient states.  When several closed classes exist, each is
-    weighted by the probability of being absorbed into it from the
-    initial state, so the result is the Cesaro limit of the empirical
-    occupancy, not a solution of a single eigenproblem.  A kernel with no
+    the transient states.  Only what ``initial`` reaches is split into
+    classes and solved.  When that holds several closed classes, each is
+    weighted by the probability of being absorbed into it, so the result
+    is the Cesaro limit of the empirical occupancy.  A kernel with no
     zero entry is one class with nothing to skip, and goes straight to
     the dense elimination; a dense one is never converted to
     :class:`SparseRows` on the way.
@@ -439,8 +444,10 @@ def stationary(q, initial: int = 0) -> np.ndarray:
         pi = _dense_gth(q.copy() if dense else q.dense(), range(n))
         _check_residual(pi, q)
         return pi
-    classes, _ = recurrent_classes(q)
-    weights = _absorption_weights(q, classes, initial)
+    classes, transient = _split(q, [initial])
+    weights = [1.0]
+    if len(classes) > 1:
+        weights = _absorption_weights(q, classes, transient, initial)
     pi = np.zeros(n)
     for weight, members in zip(weights, classes):
         if weight > 0.0:
@@ -546,8 +553,7 @@ def monte_carlo_occupancy(
     move.  One run estimates the stationary law only where the chain
     mixes within it: a slow chain can end trapped far from that law.
     """
-    if not 0 <= w < problem.n_states:
-        raise ValueError(f"state {w} out of range")
+    check_fit(mech, problem.model, w)
     if not steps > burn_in >= 0:
         raise ValueError(
             f"need steps > burn_in >= 0, got steps={steps} burn_in={burn_in}"
@@ -609,13 +615,9 @@ def joint_occupancy(
     mechanisms' rows for signal ``s``, summed in signal order and built
     sparse.
     """
-    if not 0 <= w < problem.n_states:
-        raise ValueError(f"state {w} out of range")
     model = problem.model
-    if mech_a.alphabet_size != model.alphabet_size or (
-        mech_b.alphabet_size != model.alphabet_size
-    ):
-        raise ValueError("both mechanisms must read the model's alphabet")
+    check_fit(mech_a, model, w)
+    check_fit(mech_b, model, w)
     ma, mb = mech_a.m_size, mech_b.m_size
     # Every pair of moves, one per agent, is one cell of the pair kernel.
     source_a, target_a, prob_a = mech_a.moves
@@ -639,9 +641,7 @@ def disagreement_probability(
     problem: Problem, mech_a: UpdatingMechanism, mech_b: UpdatingMechanism
 ) -> np.ndarray:
     """Long-run chance the two mechanisms act differently, per true state."""
-    differ = (
-        np.asarray(mech_a.decision)[:, None] != np.asarray(mech_b.decision)[None, :]
-    )
+    differ = mech_a.decision[:, None] != mech_b.decision
     out = np.empty(problem.n_states)
     for w in range(problem.n_states):
         joint = joint_occupancy(problem, mech_a, mech_b, w)

@@ -91,6 +91,13 @@ def _number(value, name: str, integral: bool = False):
     return int(value)
 
 
+def _numbers(value, name: str):
+    """A list, or a list of lists, of numbers from the spec, each read by :func:`_number`."""
+    if isinstance(value, list):
+        return [_numbers(v, f"{name}[{i}]") for i, v in enumerate(value)]
+    return _number(value, name)
+
+
 def _blueprint(obj: dict, where: str) -> MechanismBlueprint:
     """A blueprint from the spec: a known family, each parameter checked by :func:`_number`."""
     if not isinstance(obj, dict) or not isinstance(obj.get("params", {}), dict):
@@ -164,10 +171,14 @@ class ExperimentSpec:
         section = self.raw.get("problem", self.raw)
         if "model_file" in section:
             name = section["model_file"]
-            return _parse(SignalModel, self._load_ref(name), f"model file {name}")
-        if "model" in section:
-            return _parse(SignalModel, section["model"], "problem.model")
-        return None
+            obj, where = self._load_ref(name), f"model file {name}"
+        elif "model" in section:
+            obj, where = section["model"], "problem.model"
+        else:
+            return None
+        if isinstance(obj, dict) and "mass" in obj:
+            obj = {**obj, "mass": _numbers(obj["mass"], f"{where}.mass")}
+        return _parse(SignalModel, obj, where)
 
     def model(self) -> SignalModel:
         model = self.model_optional()
@@ -183,10 +194,10 @@ class ExperimentSpec:
             model=model,
             utilities=np.ones(model.n_states)
             if utilities is None
-            else np.asarray(utilities, dtype=np.float64),
+            else _numbers(utilities, "problem.utilities"),
             prior=np.full(model.n_states, 1.0 / model.n_states)
             if prior is None
-            else np.asarray(prior, dtype=np.float64),
+            else _numbers(prior, "problem.prior"),
         )
 
     def problem(self) -> Problem:

@@ -221,8 +221,6 @@ def diagnostics_report(
     problem: Problem,
     mech: UpdatingMechanism,
     profile: StationaryProfile,
-    tol: float = IGNORANCE_TOL,
-    threshold: float = WORLD_RATIO_THRESHOLD,
 ) -> DiagnosticsReport:
     """Every diagnostic for one mechanism, from its solved occupancy profile."""
     n = problem.n_states
@@ -241,8 +239,8 @@ def diagnostics_report(
         likelihood_ratios=ratios,
         spreads=spreads,
         spread_bounds=bounds,
-        ignored_states=frozenset(detect_ignorance(profile, mech.decision, tol)),
-        world_class=classify_world(n, mech.m_size, threshold),
+        ignored_states=frozenset(detect_ignorance(profile, mech.decision, IGNORANCE_TOL)),
+        world_class=classify_world(n, mech.m_size, WORLD_RATIO_THRESHOLD),
     )
 
 

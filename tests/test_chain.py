@@ -256,6 +256,52 @@ def test_absorbing_walk_stays_sparse_and_matches_gamblers_ruin(initial, monkeypa
     assert not pi[1:-1].any()
 
 
+def test_transient_start_splits_and_solves_only_what_it_reaches(monkeypatch):
+    """A fair walk on states 0..200 whose ends absorb, started at 67, beside
+    a closed 2-cycle {201, 202} and transient states 203 and 204 that feed
+    the walk and the cycle; the walk reaches none of those four.  One kernel
+    check, one Tarjan pass and one ``stationary`` call solve it, and no
+    member list handed to the elimination holds an unreached state."""
+    n, initial = 201, 67
+    inner = np.arange(1, n - 1)
+    q = SparseRows.from_entries(
+        np.concatenate([[0], np.repeat(inner, 2), [n - 1, 201, 202, 203, 203, 204, 204]]),
+        np.concatenate(
+            [[0], np.stack([inner - 1, inner + 1], axis=1).ravel(), [n - 1, 202, 201, 201, 100, 203, 0]]
+        ),
+        np.concatenate([[1.0], np.full(2 * inner.size, 0.5), [1.0, 1.0, 1.0, 0.5, 0.5, 0.5, 0.5]]),
+        n + 4,
+        n + 4,
+    )
+    calls = {}
+
+    def count(name):
+        wrapped = getattr(chain, name)
+
+        def counted(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return wrapped(*args, **kwargs)
+
+        monkeypatch.setattr(chain, name, counted)
+
+    for name in ("_strong_components", "_check_kernel", "stationary"):
+        count(name)
+    solved = []
+    solve = chain._stationary_on_class
+
+    def record(kernel, members):
+        solved.append(list(members))
+        return solve(kernel, members)
+
+    monkeypatch.setattr(chain, "_stationary_on_class", record)
+    pi = chain.stationary(q, initial)
+    assert calls == {"_strong_components": 1, "_check_kernel": 1, "stationary": 1}
+    assert solved and all(max(members) < n for members in solved)
+    ends = np.array([n - 1 - initial, initial]) / (n - 1)
+    np.testing.assert_allclose(pi[[0, n - 1]], ends, rtol=1e-12)
+    assert not pi[1 : n - 1].any() and not pi[n:].any()
+
+
 def test_stationary_rejects_malformed_kernel():
     with pytest.raises(ValueError):
         stationary(np.array([[0.5, 0.4], [0.5, 0.5]]))
@@ -584,6 +630,12 @@ def test_monte_carlo_validates_steps(ladder_problem, ladder4):
         monte_carlo_occupancy(ladder_problem, ladder4, 0, steps=10, burn_in=10)
     with pytest.raises(ValueError):
         monte_carlo_occupancy(ladder_problem, ladder4, 5, steps=10)
+
+
+def test_monte_carlo_refuses_an_action_the_problem_does_not_have(binary_model):
+    mech = det_mech([[0, 1], [0, 1]], [0, 5])
+    with pytest.raises(ValueError, match="action 5"):
+        monte_carlo_occupancy(uniform_problem(binary_model), mech, 0, steps=10)
 
 
 def assert_same_walk(problem, mech, w, steps, burn_in, seed):

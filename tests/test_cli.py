@@ -516,6 +516,54 @@ def test_eval_inline_mechanism_requires_model(tmp_path):
     assert run("eval", spec, tmp_path) == 2
 
 
+ACTION_FIVE = {
+    "m": 2,
+    "transition": [[[1.0, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, 1.0]]],
+    "decision": [0, 5],
+    "initial": 0,
+}
+
+
+@pytest.mark.parametrize(
+    "command, section",
+    [
+        ("eval", {"mechanism": {"inline": ACTION_FIVE}}),
+        ("disagree", {"agents": [{"inline": ACTION_FIVE}, {"inline": ACTION_FIVE}]}),
+    ],
+    ids=["eval", "disagree"],
+)
+def test_a_decision_naming_an_action_the_problem_lacks_is_domain_exit(
+    tmp_path, capsys, command, section
+):
+    spec = write_spec(tmp_path, {"problem": {"model": BINARY_JSON}, **section})
+    out = tmp_path / "out"
+    assert run(command, spec, out) == 1
+    assert "action 5" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "problem, name",
+    [
+        ({"utilities": [True, 1]}, "problem.utilities[0]"),
+        ({"prior": ["0.5", "0.5"]}, "problem.prior[0]"),
+        ({"prior": [0.5, None]}, "problem.prior[1]"),
+        ({"utilities": "ab"}, "problem.utilities"),
+        ({"model": {**BINARY_JSON, "mass": [["0.8", "0.2"], [0.2, 0.8]]}}, "problem.model.mass[0][0]"),
+        ({"model": {**BINARY_JSON, "mass": [[0.8, 0.2], [0.2, True]]}}, "problem.model.mass[1][1]"),
+    ],
+)
+def test_eval_refuses_a_problem_number_of_the_wrong_json_type(tmp_path, capsys, problem, name):
+    star = {"blueprint": {"family": "star", "params": {"lam": 3, "delta": 5.0}}}
+    spec = write_spec(
+        tmp_path, {"problem": {"model": BINARY_JSON, **problem}, "mechanism": star}
+    )
+    out = tmp_path / "out"
+    assert run("eval", spec, out) == 2
+    assert capsys.readouterr().err.startswith(f"error: {name} must be a number")
+    assert not out.exists()
+
+
 def test_eval_star_condition_failure_is_domain_exit(tmp_path):
     spec = write_spec(
         tmp_path,

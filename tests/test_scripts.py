@@ -3,15 +3,21 @@
 They back the README's numbers and call the package's internals, so a
 renamed function should fail here, not the next time a script is run.
 Every script keeps its work behind a ``__main__`` guard, so loading one
-runs nothing.
+runs nothing.  The absorbing-walk script, which backs the README's
+reducible-chain figures, is also run at a small size.
 """
 
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-SCRIPTS = sorted((Path(__file__).resolve().parent.parent / "scripts").glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
 
 
 def test_there_are_scripts_to_load():
@@ -24,3 +30,20 @@ def test_script_loads_without_running(path):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     assert callable(module.main)
+
+
+def test_absorbing_walk_script_runs_and_meets_gamblers_ruin():
+    """The script behind the README's reducible-chain figures, at 2,001 states."""
+    script = ROOT / "scripts" / "absorbing_walk_scaling.py"
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, str(script), "--sizes", "2001"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1"},
+        check=False,
+    )
+    assert done.returncode == 0, done.stderr
+    report = json.loads(done.stdout.splitlines()[-1])
+    assert report["states"] == 2001
+    assert report["rel_error"] <= 1e-12
