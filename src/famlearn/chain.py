@@ -261,8 +261,8 @@ def _eliminate_sparse(q: SparseRows, members):
     States are eliminated last to first.  Eliminating state ``j`` adds
     the outer product of its normalised inflow column and its outflow row
     to the states before it; a star, eliminated tip-inward, so costs one
-    update per state.  Returns each state's normalised inflow
-    ``[(i, a[i, j]), ...]`` over ``i < j``, which is all the
+    update per state.  Returns each state's outflow ``s`` and raw inflow
+    ``(s, [(i, a[i, j]), ...])`` over ``i < j``, which is all the
     back-substitution reads, or ``None`` as soon as the running count of
     updates would exceed the class's nonzero count.  Each update is the
     textbook loop's, added in the same per-pivot order; only an outflow
@@ -297,9 +297,9 @@ def _eliminate_sparse(q: SparseRows, members):
         updates += len(inflow) * len(outflow)
         if updates > budget:
             return None
-        feed = feeds[j] = [(i, rows[i].pop(j) / s) for i in inflow]
-        for i, f in feed:
-            target = rows[i]
+        feeds[j] = s, [(i, rows[i].pop(j)) for i in inflow]
+        for i, a in feeds[j][1]:
+            f, target = a / s, rows[i]
             for c, o in outflow.items():
                 if c != i:
                     if c in target:
@@ -311,11 +311,13 @@ def _eliminate_sparse(q: SparseRows, members):
 
 
 def _back_substitute(feeds) -> np.ndarray:
-    """Occupancy of an eliminated class from its normalised inflows.
+    """Occupancy of an eliminated class from its outflows and inflows.
 
-    ``feeds[j]`` lists the pairs ``(i, a[i, j])`` with ``i < j`` and
-    ``a[i, j]`` nonzero, and ``pi[j] = sum(pi[i] * a[i, j])`` runs from
-    ``pi[0] = 1``.  Along a long, strongly drifting branch the partial
+    ``feeds[j]`` is ``(s, pairs)``: state ``j``'s outflow and the pairs
+    ``(i, a[i, j])`` with ``i < j`` and ``a[i, j]`` nonzero, and
+    ``pi[j] = sum(pi[i] * a[i, j]) / s`` runs from ``pi[0] = 1``.  Dividing
+    by ``s`` as a mantissa and an exponent keeps a subnormal ``s`` from
+    overflowing.  Along a long, strongly drifting branch the partial
     entries leave the float range, and an entry flushed to zero would zero
     every state fed from it, however large their true mass.  So each entry
     is kept as a mantissa and a binary exponent, and the entries are only
@@ -328,17 +330,18 @@ def _back_substitute(feeds) -> np.ndarray:
     mantissa = [1.0] * k
     exponent = [0] * k
     for j in range(1, k):
-        feed = feeds[j]
+        s, feed = feeds[j]
         if not feed:
             raise SolverError(
                 "a class member cannot be reached from the rest of its class"
             )
         top = max([exponent[i] for i, _ in feed])
+        scale, drop = math.frexp(s)
         total = 0.0
         for i, a in feed:
-            total += math.ldexp(mantissa[i], exponent[i] - top) * a
+            total += math.ldexp(mantissa[i], exponent[i] - top) * (a / scale)
         mantissa[j], shift = math.frexp(total)
-        exponent[j] = top + shift
+        exponent[j] = top + shift - drop
     exponent = np.asarray(exponent)
     pi = np.ldexp(mantissa, exponent - exponent.max())
     return pi / pi.sum()
@@ -386,7 +389,7 @@ def _dense_gth(a: np.ndarray, members) -> np.ndarray:
         if not 1.0 / PLAIN_RANGE <= pi[j] <= PLAIN_RANGE:
             sources = [np.flatnonzero(a[:i, i]) for i in range(k)]
             return _back_substitute(
-                [list(zip(src.tolist(), a[src, i].tolist())) for i, src in enumerate(sources)]
+                [(1.0, list(zip(s.tolist(), a[s, i].tolist()))) for i, s in enumerate(sources)]
             )
     return pi / pi.sum()
 

@@ -91,11 +91,19 @@ def _number(value, name: str, integral: bool = False):
     return int(value)
 
 
-def _numbers(value, name: str):
+def _numbers(value, name: str, integral: bool = False):
     """A list, or a list of lists, of numbers from the spec, each read by :func:`_number`."""
     if isinstance(value, list):
-        return [_numbers(v, f"{name}[{i}]") for i, v in enumerate(value)]
-    return _number(value, name)
+        return [_numbers(v, f"{name}[{i}]", integral) for i, v in enumerate(value)]
+    return _number(value, name, integral)
+
+
+def _fields(obj, where: str, integral, real=()):
+    """``obj`` with its keys in ``integral`` and ``real`` read by :func:`_numbers`."""
+    if not isinstance(obj, dict):
+        return obj
+    keys = [key for key in (*integral, *real) if key in obj]
+    return {**obj, **{key: _numbers(obj[key], f"{where}.{key}", key in integral) for key in keys}}
 
 
 def _blueprint(obj: dict, where: str) -> MechanismBlueprint:
@@ -176,8 +184,7 @@ class ExperimentSpec:
             obj, where = section["model"], "problem.model"
         else:
             return None
-        if isinstance(obj, dict) and "mass" in obj:
-            obj = {**obj, "mass": _numbers(obj["mass"], f"{where}.mass")}
+        obj = _fields(obj, where, ("states", "alphabet"), ("mass",))
         return _parse(SignalModel, obj, where)
 
     def model(self) -> SignalModel:
@@ -226,13 +233,14 @@ class ExperimentSpec:
             return mech, built_model
         if "file" in section:
             name = section["file"]
-            mech = _parse(UpdatingMechanism, self._load_ref(name), f"file {name}")
+            obj, where = self._load_ref(name), f"{where} file {name}"
         elif "inline" in section:
-            mech = _parse(UpdatingMechanism, section["inline"], "inline mechanism")
+            obj, where = section["inline"], f"{where}.inline"
         else:
             raise SpecFormatError(
                 "mechanism section needs one of: blueprint, file, inline"
             )
+        mech = _parse(UpdatingMechanism, _fields(obj, where, ("m", "initial", "decision")), where)
         if model is None:
             raise SpecFormatError(
                 "an explicit mechanism needs problem.model in the spec"

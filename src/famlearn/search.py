@@ -34,11 +34,8 @@ from .errors import BudgetExceededError
 #: Enumeration refuses instances with more canonical tables than this:
 #: binary m = 5 (166,152) fits, binary m = 6 and ternary m = 4 do not.
 DEFAULT_ENUMERATION_BUDGET = 1_000_000
-#: Squarings of the lazy kernel in scoring: at most 60 (horizon 2**60),
-#: enough for the bound to leave e**-45 of the transient part.
-_MAX_SQUARINGS, _EFOLDS = 60, 45.0
 #: Kernels scored at once by enumeration; bounds its working memory.
-_SCORE_KERNELS = 2**14
+_SCORE_KERNELS = 2**12
 
 
 @dataclass(frozen=True)
@@ -127,42 +124,39 @@ def _exact_result(problem: Problem, transition: np.ndarray, trace) -> SearchResu
 # ---------------------------------------------------------------------------
 
 
-def _squarings(kernels: np.ndarray) -> int:
-    """Squarings :func:`_cesaro_rows` takes: its bound, in log space, capped."""
-    s = kernels.shape[-1] - 1
-    p = kernels[kernels > 0.0].min(initial=1.0)
-    bound = math.log2(s * _EFOLDS) + s * (1.0 - math.log2(p)) if s else 0.0
-    return min(_MAX_SQUARINGS, math.ceil(bound))
+def _cesaro_rows(kernels: np.ndarray) -> np.ndarray:
+    """Long-run occupancy from state 0 of each stacked kernel, by one GTH pass.
 
-
-def _cesaro_rows(kernels: np.ndarray, initial: int) -> np.ndarray:
-    """Long-run occupancy row of each stacked kernel, as a lazy-kernel power.
-
-    ``L = (I + Q) / 2`` is aperiodic and keeps the stationary vectors and
-    closed classes of ``Q``, so its powers tend to the Cesaro limit of
-    ``Q`` even on the periodic and reducible chains common among
-    deterministic tables.  Row ``initial`` of ``L**(2**r)`` is returned,
-    ``r`` fixed by a Doeblin bound (Seneta, 1981).  With ``p`` the stack's
-    smallest positive entry, ``L`` takes an edge of ``Q`` with chance at
-    least ``p / 2`` and a self-loop with at least 1/2, so ``s = m - 1``
-    lazy steps reach each state they can reach with chance at least
-    ``eps = (p / 2)**s``.  Each block of ``s`` steps thus moves a transient
-    start into a closed class, and couples two starts in one class, with
-    chance at least ``eps``; after ``n`` blocks the row is within
-    ``(n eps + 2)(1 - eps)**(n - 1)`` of its limit in total variation.
-    ``2**r >= s E / eps`` makes ``n eps`` about ``E`` or more, for an error
-    below about ``(E + 2) exp(-E)``, 1e-18 at ``E = 45``.  Where that takes
-    more than 60 squarings the bound lapses and the row is only a
-    shortlist score, as the Cesaro mean to horizon 2**60 was.
+    States are eliminated last to first on the whole stack at once
+    (Grassmann, Taksar & Heyman, *Oper. Res.* 33, 1985).  A pivot with no
+    outflow to the states left is the root of a closed class: it stays,
+    and nothing is spread from it (Sonin, *Adv. Math.* 145, 1999).  State
+    0, handled last, is a root or spreads over the roots with its
+    absorption probabilities.  Back-substitution from the roots gives each
+    class's occupancy relative to its root, scaled to the class's
+    absorption probability: the exact Cesaro limit, periodic and reducible
+    chains included.  A subnormal outflow can overflow a row to ``inf`` or
+    NaN without a warning; callers check that the rows are finite.
     """
-    power = 0.5 * (kernels + np.eye(kernels.shape[-1]))
-    ones = np.ones((kernels.shape[-1], 1))
-    for _ in range(_squarings(kernels)):
-        power = power @ power
-        # Squaring squares the row-sum error too; unless renormalised every
-        # round, the drift grows like (1 + eps)**(2**k).
-        power /= power @ ones
-    return power[:, initial, :]
+    a = kernels.copy()
+    m = a.shape[-1]
+    left = np.ones(a.shape[:-1], dtype=bool)  # states left, and the roots
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(m - 1, -1, -1):
+            left[:, j] = False
+            outflow = np.where(left, a[:, j], 0.0)
+            s = outflow.sum(axis=-1)
+            left[:, j] = root = ~(s > 0.0)
+            # A root keeps its raw inflows; any other pivot's become its feed.
+            a[:, :j, j] /= np.where(root, 1.0, s)[:, None]
+            a[:, :j] += a[:, :j, j, None] * outflow[:, None, :]
+        weights = outflow / np.where(root, 1.0, s)[:, None]
+        weights[:, 0] = root
+        occupancy = left[:, :, None] * np.eye(m)  # one row per possible root
+        for j in range(1, m):
+            occupancy[:, :, j] += (occupancy[:, :, :j] @ a[:, :j, j, None])[..., 0]
+        scale = weights / np.where(left, occupancy.sum(axis=-1), 1.0)
+        return np.einsum("tr,trj->tj", scale, occupancy)
 
 
 def _canonical_tables(m_size: int, alphabet: int) -> np.ndarray:
@@ -204,15 +198,16 @@ def _count_tables(m_size: int, alphabet: int, stop_above: float = math.inf) -> i
 
 
 def _scored_tables(problem: Problem, m_size: int):
-    """Canonical tables, one-hot ``(t, m, k, m)``, and their scores, in slices."""
+    """Canonical tables, one-hot ``(t, m, k, m)``, and their scores; a non-finite row scores inf."""
     m, n, mass = m_size, problem.n_states, problem.model.mass
     onehot = _canonical_tables(m, mass.shape[1])[..., None] == np.arange(m)
     losses = np.empty(len(onehot))
     step = max(1, _SCORE_KERNELS // n)
     for lo in range(0, len(onehot), step):
         kernels = np.einsum("ws,tmsj->twmj", mass, onehot[lo : lo + step])
-        occ = _cesaro_rows(kernels.reshape(-1, m, m), initial=0).reshape(-1, n, m)
-        losses[lo : lo + step] = _price(problem.stakes, occ)[1]
+        occ = _cesaro_rows(kernels.reshape(-1, m, m)).reshape(-1, n, m)
+        finite = np.isfinite(occ).all(axis=(1, 2))
+        losses[lo : lo + step] = np.where(finite, _price(problem.stakes, occ)[1], np.inf)
     return onehot, losses
 
 

@@ -172,6 +172,15 @@ def test_slow_exit_splits_exactly_between_absorbing_states(eps):
         np.testing.assert_allclose(occupancy, [0.0, 0.3, 0.7], rtol=1e-15, atol=0.0)
 
 
+def test_a_subnormal_pivot_outflow_solves_without_overflow():
+    """Eliminating state 2 leaves state 1 an outflow of 1e-320, a subnormal
+    whose reciprocal overflows; the occupancy of state 0 is about 1e-320."""
+    q = np.array([[1e-160, 1.0, 0.0], [0.0, 1.0, 1e-160], [1e-160, 1.0, 0.0]])
+    pi = stationary(q)
+    np.testing.assert_allclose(pi[1:], oracles.absorption_mp(q, 0)[1:], rtol=1e-12, atol=0.0)
+    assert 0.0 < pi[0] < 1e-300
+
+
 RARE_EXITS = [None, 1e-300, 1e-150, 1e-30, 1e-12, 1e-6]
 
 

@@ -564,6 +564,43 @@ def test_eval_refuses_a_problem_number_of_the_wrong_json_type(tmp_path, capsys, 
     assert not out.exists()
 
 
+TWO_STATES = {
+    "m": 2,
+    "transition": [[[1.0, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, 1.0]]],
+    "decision": [0, 1],
+    "initial": 0,
+}
+
+
+@pytest.mark.parametrize(
+    "model, mech, source, name, kind",
+    [
+        ({"states": 2.7}, {}, "inline", "problem.model.states", "an integer"),
+        ({"states": True}, {}, "inline", "problem.model.states", "a number"),
+        ({"alphabet": "2"}, {}, "inline", "problem.model.alphabet", "a number"),
+        ({}, {"initial": 1.7}, "inline", "mechanism.inline.initial", "an integer"),
+        ({}, {"decision": [0.9, 1.2]}, "inline", "mechanism.inline.decision[0]", "an integer"),
+        ({}, {"m": "2"}, "inline", "mechanism.inline.m", "a number"),
+        ({}, {"decision": [0, None]}, "file", "mechanism file mech.json.decision[1]", "a number"),
+    ],
+)
+def test_eval_refuses_a_model_or_mechanism_integer_of_the_wrong_json_type(
+    tmp_path, capsys, model, mech, source, name, kind
+):
+    if source == "file":
+        (tmp_path / "mech.json").write_text(json.dumps({**TWO_STATES, **mech}))
+        section = {"file": "mech.json"}
+    else:
+        section = {"inline": {**TWO_STATES, **mech}}
+    spec = write_spec(
+        tmp_path, {"problem": {"model": {**BINARY_JSON, **model}}, "mechanism": section}
+    )
+    out = tmp_path / "out"
+    assert run("eval", spec, out) == 2
+    assert capsys.readouterr().err.startswith(f"error: {name} must be {kind}")
+    assert not out.exists()
+
+
 def test_eval_star_condition_failure_is_domain_exit(tmp_path):
     spec = write_spec(
         tmp_path,

@@ -4,7 +4,8 @@ They back the README's numbers and call the package's internals, so a
 renamed function should fail here, not the next time a script is run.
 Every script keeps its work behind a ``__main__`` guard, so loading one
 runs nothing.  The absorbing-walk script, which backs the README's
-reducible-chain figures, is also run at a small size.
+reducible-chain figures, is also run at a small size, and the enumeration
+script, which exits non-zero when a frozen winner changes, is run once.
 """
 
 import importlib.util
@@ -32,18 +33,28 @@ def test_script_loads_without_running(path):
     assert callable(module.main)
 
 
-def test_absorbing_walk_script_runs_and_meets_gamblers_ruin():
-    """The script behind the README's reducible-chain figures, at 2,001 states."""
-    script = ROOT / "scripts" / "absorbing_walk_scaling.py"
+def run_script(name, *args):
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
-    done = subprocess.run(
-        [sys.executable, str(script), "--sizes", "2001"],
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name), *args],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1"},
         check=False,
     )
+
+
+def test_absorbing_walk_script_runs_and_meets_gamblers_ruin():
+    """The script behind the README's reducible-chain figures, at 2,001 states."""
+    done = run_script("absorbing_walk_scaling.py", "--sizes", "2001")
     assert done.returncode == 0, done.stderr
     report = json.loads(done.stdout.splitlines()[-1])
     assert report["states"] == 2001
     assert report["rel_error"] <= 1e-12
+
+
+def test_enumeration_script_finds_every_frozen_winner():
+    done = run_script("enumeration_scaling.py", "--repeats", "1")
+    assert done.returncode == 0, done.stderr
+    report = json.loads(done.stdout.splitlines()[-1])
+    assert report["binary m=4"]["loss"] == pytest.approx(1 / 17, abs=1e-12)

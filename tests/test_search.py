@@ -6,10 +6,10 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import oracles
-from famlearn import search
+from famlearn import chain, search
 from famlearn import (
     BudgetExceededError,
     Problem,
@@ -172,12 +172,19 @@ AWKWARD_KERNELS = {
 @pytest.mark.parametrize("name", sorted(AWKWARD_KERNELS))
 @pytest.mark.parametrize("initial", [0, 1])
 def test_cesaro_rows_match_power_averaging_oracle(name, initial):
-    """Each kernel is stacked with its normalised transpose."""
+    """Each kernel is stacked with its normalised transpose.
+
+    Rows start at state 0, so a start at ``initial`` swaps states 0 and
+    ``initial`` first.
+    """
     kernel = AWKWARD_KERNELS[name]
     stack = np.stack([kernel, kernel.T / kernel.T.sum(axis=1, keepdims=True)])
-    rows = _cesaro_rows(stack, initial)
+    order = np.arange(len(kernel))
+    order[[0, initial]] = order[[initial, 0]]
+    rows = _cesaro_rows(stack[:, order][:, :, order])
     for got, q in zip(rows, stack):
-        np.testing.assert_allclose(got, oracles.cesaro_occupancy(q, initial), atol=1e-12)
+        want = oracles.cesaro_occupancy(q, initial)[order]
+        np.testing.assert_allclose(got, want, atol=1e-12)
 
 
 # slow-mixing kernels and their limits from state 0, in closed form; the
@@ -208,27 +215,69 @@ SLOW_KERNELS = {
 def test_cesaro_rows_reach_closed_form_limits_of_slow_kernels(name):
     kernel, limit = SLOW_KERNELS[name]
     stack = np.array(kernel, dtype=float)[None]
-    assert search._squarings(stack) < search._MAX_SQUARINGS
-    np.testing.assert_allclose(_cesaro_rows(stack, 0)[0], limit, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(_cesaro_rows(stack)[0], limit, rtol=0, atol=1e-14)
 
 
 def test_cesaro_rows_cap_the_squarings_for_a_tiny_entry_without_warning():
-    """p = 1e-300 asks for about 2,000 squarings; the cap of 60 holds."""
+    """An entry of 1e-300 next to a periodic kernel in one stack."""
     stack = np.array(
         [[[1.0, 1e-300, 0.0], [0.5, 0.5, 0.0], [0.0, 0.0, 1.0]], np.eye(3)[[1, 2, 0]]]
     )
-    assert search._squarings(stack) == search._MAX_SQUARINGS == 60
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        rows = _cesaro_rows(stack, 0)
+        rows = _cesaro_rows(stack)
     np.testing.assert_allclose(rows, [[1.0, 0.0, 0.0], [1 / 3] * 3], rtol=0, atol=1e-14)
     assert (rows >= 0.0).all()
 
 
 def test_cesaro_rows_of_single_state_kernels_are_ones():
     stack = np.ones((3, 1, 1))
-    assert search._squarings(stack) == 0
-    np.testing.assert_array_equal(_cesaro_rows(stack, 0), np.ones((3, 1)))
+    np.testing.assert_array_equal(_cesaro_rows(stack), np.ones((3, 1)))
+
+
+@st.composite
+def sparse_kernels(draw):
+    """Stochastic kernels of 1 to 6 states with random zeros.
+
+    Entries are 0 or 1e-12 to 1 before the rows are normalised.  Each row
+    keeps the entry a drawn permutation gives it, so a kernel may be a bare
+    cycle; the zeros make reducible kernels, some with closed classes that
+    state 0 never reaches.
+    """
+    m = draw(st.integers(min_value=1, max_value=6))
+    entry = st.just(0.0) | st.floats(min_value=1e-12, max_value=1.0)
+    q = np.array(draw(st.lists(st.lists(entry, min_size=m, max_size=m), min_size=m, max_size=m)))
+    cycle = draw(st.permutations(range(m)))
+    q[np.arange(m), cycle] = draw(st.floats(min_value=1e-12, max_value=1.0))
+    return q / q.sum(axis=1, keepdims=True)
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_kernels())
+@example(np.roll(np.eye(4), 1, axis=1))  # periodic
+@example(np.array([[0.5, 0.2, 0.3], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]))  # two classes reached
+@example(np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]))  # one class unreached
+@example(np.array([[1 - 1e-12, 1e-12, 0, 0], [0, 0, 1, 0], [0.5, 0, 0, 0.5], [0, 0, 0, 1]]))
+def test_cesaro_rows_match_the_chain_solver(q):
+    got = _cesaro_rows(q[None])[0]
+    want = chain.stationary(q, 0)
+    np.testing.assert_array_equal(got == 0.0, want == 0.0)
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+
+
+# A subnormal pivot outflow: world 1's kernel under this table eliminates
+# state 1 on an outflow of 1e-320, and its row overflows.
+TINY = uniform_problem(SignalModel.from_rows([[1.0, 1e-160], [1e-160, 1.0]]))
+OVERFLOWING_TABLE = [[0, 1], [2, 1], [0, 1]]
+
+
+def test_a_table_whose_row_overflows_scores_inf_and_the_winner_is_exact():
+    onehot, losses = search._scored_tables(TINY, 3)
+    (idx,) = np.flatnonzero((onehot.argmax(axis=-1) == OVERFLOWING_TABLE).all(axis=(1, 2)))
+    assert losses[idx] == np.inf
+    result = enumerate_deterministic(TINY, 3)
+    assert np.isfinite(result.loss)
+    assert result.loss == utility_loss(TINY, result.mechanism)
 
 
 @pytest.mark.parametrize("m_size", [3, 4])
