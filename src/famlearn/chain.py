@@ -3,8 +3,8 @@
 Fixing the true state of the world ``w``, a mechanism's memory state
 evolves as a Markov chain with kernel ``Q^w`` (signal-averaged
 transitions).  Everything asymptotic lives here: stationary/occupancy
-distributions (including the reducible case, where only what the
-initial state reaches is split and solved, by absorption probabilities),
+distributions (including the reducible case, where what the initial
+state reaches is solved in one elimination that finds its closed classes),
 expected utility and loss, Monte Carlo cross-checks, and the
 synchronized two-agent product chain used for disagreement calculations.
 
@@ -219,222 +219,188 @@ def recurrent_classes(q):
     q = _check_kernel(q)
     if not isinstance(q, SparseRows):
         q = SparseRows.from_dense(q)
-    return _split(q, range(len(q)))
-
-
-def _split(q: SparseRows, roots):
-    """:func:`recurrent_classes` over the states reached from ``roots`` alone."""
-    n_comp, labels = _strong_components(len(q), q.indptr.tolist(), q.index.tolist(), roots)
-    reached = labels[q.row_index] >= 0
-    rows, cols = q.row_index[reached], q.index[reached]
+    n = len(q)
+    n_comp, labels = _strong_components(n, q.indptr.tolist(), q.index.tolist(), range(n))
+    rows, cols = q.row_index, q.index
     closed = np.ones(n_comp, dtype=bool)
     closed[labels[rows[labels[rows] != labels[cols]]]] = False
-    classes = [np.flatnonzero(labels == c).tolist() for c in np.flatnonzero(closed)]
-    classes.sort(key=lambda c: c[0])
-    transient = np.flatnonzero((labels >= 0) & ~closed[labels]).tolist()
-    return classes, transient
-
-
-def _stationary_on_class(q: SparseRows, members) -> np.ndarray:
-    """Stationary vector of ``q`` restricted to one closed class.
-
-    Uses state-elimination (the subtraction-free Gaussian variant of
-    Grassmann, Taksar & Heyman) rather than a plain linear solve:
-    occupancies of strongly biased chains span many orders of magnitude,
-    and elimination keeps componentwise relative accuracy where a
-    replaced-row solve returns small negative garbage.
-
-    The class is first eliminated on its nonzero entries alone (see
-    :func:`_eliminate_sparse`).  Once that has cost more updates than the
-    class has nonzeros, the class has filled in, and it is eliminated
-    again by :func:`_dense_gth` on a dense block.
-    """
-    feeds = _eliminate_sparse(q, members)
-    if feeds is None:
-        return _dense_gth(q.block(members, members), members)
-    return _back_substitute(feeds)
+    components = np.split(np.argsort(labels, kind="stable"), np.cumsum(np.bincount(labels))[:-1])
+    classes = sorted((components[c].tolist() for c in np.flatnonzero(closed)), key=lambda c: c[0])
+    return classes, np.flatnonzero(~closed[labels]).tolist()
 
 
 def _eliminate_sparse(q: SparseRows, members):
-    """GTH elimination of a closed class on its nonzero entries.
+    """GTH elimination of the chain on ``members`` on its nonzero entries.
 
-    States are eliminated last to first.  Eliminating state ``j`` adds
-    the outer product of its normalised inflow column and its outflow row
-    to the states before it; a star, eliminated tip-inward, so costs one
-    update per state.  Returns each state's outflow ``s`` and raw inflow
-    ``(s, [(i, a[i, j]), ...])`` over ``i < j``, which is all the
-    back-substitution reads, or ``None`` as soon as the running count of
-    updates would exceed the class's nonzero count.  Each update is the
-    textbook loop's, added in the same per-pivot order; only an outflow
-    row's sum may be taken in another order.  :func:`_dense_gth` sums in
-    panels instead, so the two agree to rounding, not bitwise.  The
-    diagonal, which GTH never reads, is not kept.
+    ``members`` are what the start reaches, the start first, eliminated
+    last to first (Grassmann, Taksar & Heyman, *Oper. Res.* 33, 1985).
+    Eliminating ``j`` adds the outer product of its inflow column and its
+    outflow row over the row's sum ``s`` to the states before it and the
+    roots, so a star, eliminated tip-inward, costs one update per state.  A
+    state with no outflow left is the root of a closed class (Sonin, *Adv.
+    Math.* 145, 1999): it stays and spreads nothing.  Returns each member's
+    feed, ``None`` for a root and else ``(s, [(i, a[i, j]), ...])`` over
+    ``i < j``, and the start's flows into the roots; or ``None`` once the
+    updates made would exceed the block's nonzero count.  Updates are the
+    textbook loop's, in its order; only a row's sum may be taken in another.
+    :func:`_dense_gth` sums in panels, so the two agree to rounding, not
+    bitwise.  The diagonal, which GTH never reads, is not kept.
     """
-    local = np.full(len(q), -1)
-    local[members] = np.arange(len(members))
+    k, local = len(members), np.full(len(q), -1)
+    local[members] = np.arange(k)
     entry_rows = local[q.row_index]
     keep = entry_rows >= 0
     row, col, value = entry_rows[keep], local[q.index[keep]], q.value[keep]
-    budget = row.size
-    off = row != col
-    k = len(members)
-    rows = [{} for _ in range(k)]
-    cols = [[] for _ in range(k)]
+    budget, off = row.size, row != col
+    rows, cols = [{} for _ in range(k)], [[] for _ in range(k)]
     for i, c, v in zip(row[off].tolist(), col[off].tolist(), value[off].tolist()):
         rows[i][c] = v
         cols[c].append(i)
 
     updates = 0
-    feeds = [()] * k
-    for j in range(k - 1, 0, -1):
+    feeds = [None] * k
+    for j in range(k - 1, -1, -1):
         outflow = rows[j]
         s = sum(outflow.values())
         if not s > 0.0:
-            raise SolverError(
-                f"class member {members[j]} cannot reach the rest of its class"
-            )
+            continue
         inflow = [i for i in cols[j] if i < j]
-        updates += len(inflow) * len(outflow)
+        updates += len(inflow) * len(outflow) - len(outflow.keys() & inflow)
         if updates > budget:
             return None
         feeds[j] = s, [(i, rows[i].pop(j)) for i in inflow]
         for i, a in feeds[j][1]:
-            f, target = a / s, rows[i]
+            target = rows[i]
             for c, o in outflow.items():
                 if c != i:
                     if c in target:
-                        target[c] += f * o
+                        target[c] += a * (o / s)
                     else:
-                        target[c] = f * o
+                        target[c] = a * (o / s)
                         cols[c].append(i)
-    return feeds
+    return feeds, {0: 1.0} if feeds[0] is None else rows[0]
 
 
-def _back_substitute(feeds) -> np.ndarray:
-    """Occupancy of an eliminated class from its outflows and inflows.
+def _back_substitute(feeds, flows) -> np.ndarray:
+    """Occupancy of eliminated members from their feeds and the start's flows.
 
-    ``feeds[j]`` is ``(s, pairs)``: state ``j``'s outflow and the pairs
-    ``(i, a[i, j])`` with ``i < j`` and ``a[i, j]`` nonzero, and
-    ``pi[j] = sum(pi[i] * a[i, j]) / s`` runs from ``pi[0] = 1``.  Dividing
-    by ``s`` as a mantissa and an exponent keeps a subnormal ``s`` from
-    overflowing.  Along a long, strongly drifting branch the partial
-    entries leave the float range, and an entry flushed to zero would zero
-    every state fed from it, however large their true mass.  So each entry
-    is kept as a mantissa and a binary exponent, and the entries are only
-    brought to a common scale at the end, where what underflows lies below
-    the smallest normal double after normalisation.  Scaling by powers of
-    two commutes with rounding, so within the float range this is bitwise
-    the plain sum taken in the same order.
+    A root (feed ``None``) starts at 1.  Any other member ``j``, fed by
+    ``(s, pairs)``, takes ``pi[j] = sum(pi[i] * a[i, j]) / s`` over the
+    pairs whose ``i`` lies in a class; one fed by no class is transient and
+    gets 0.  Along a long, strongly drifting branch the partial entries
+    leave the float range, and an entry flushed to zero would zero every
+    state fed from it.  So each entry is kept as a mantissa and a binary
+    exponent, and ``s`` is divided as one too, so a subnormal ``s`` cannot
+    overflow.  Each class comes to a common scale only at the end, where
+    what underflows lies below the smallest normal double.  Within the
+    float range this is bitwise the plain sum in the same order.  Each class
+    is normalised and scaled by the start's flow into its root over the
+    ``math.fsum`` of ``flows`` (``{0: 1.0}`` when the start is a root).
     """
-    k = len(feeds)
-    mantissa = [1.0] * k
-    exponent = [0] * k
-    for j in range(1, k):
-        s, feed = feeds[j]
-        if not feed:
-            raise SolverError(
-                "a class member cannot be reached from the rest of its class"
-            )
-        top = max([exponent[i] for i, _ in feed])
+    k, transient_start = len(feeds), feeds[0] is not None
+    mantissa, exponent, label = [0.0] * k, [0] * k, [-1 if transient_start else 0] * k
+    for j, feed in enumerate(feeds):
+        if feed is None:
+            mantissa[j], label[j] = 1.0, j
+            continue
+        s, pairs = feed
+        if transient_start:  # else all is the start's class
+            pairs = [(i, a) for i, a in pairs if label[i] >= 0]
+            if not pairs:
+                continue
+            label[j] = label[pairs[0][0]]
+        top = max([exponent[i] for i, _ in pairs])
         scale, drop = math.frexp(s)
         total = 0.0
-        for i, a in feed:
+        for i, a in pairs:
             total += math.ldexp(mantissa[i], exponent[i] - top) * (a / scale)
         mantissa[j], shift = math.frexp(total)
         exponent[j] = top + shift - drop
-    exponent = np.asarray(exponent)
-    pi = np.ldexp(mantissa, exponent - exponent.max())
-    return pi / pi.sum()
+    weight, total = np.zeros(k), math.fsum(flows.values())
+    weight[list(flows)] = [f / total for f in flows.values()]
+    label = np.asarray(label)
+    member = np.flatnonzero(label >= 0)
+    label, exponent = label[member], np.asarray(exponent)[member]
+    top = np.zeros(k, dtype=exponent.dtype)
+    np.maximum.at(top, label, exponent)
+    part = np.ldexp(np.asarray(mantissa)[member], exponent - top[label])
+    pi = np.zeros(k)
+    pi[member] = part / np.bincount(label, part, minlength=k)[label] * weight[label]
+    return pi
 
 
-def _dense_gth(a: np.ndarray, members) -> np.ndarray:
-    """GTH elimination and back-substitution on the dense class block ``a``.
+def _dense_gth(q, members) -> np.ndarray:
+    """:func:`_eliminate_sparse` and :func:`_back_substitute` on a dense block.
 
-    Pivots are eliminated last to first in panels of ``_PANEL``.  A pivot's
-    outflow row and inflow column are its entries of ``a`` plus the
-    panel's pending updates, one matrix-vector product each; its
-    normalised inflow is written back to ``a[:j, j]``.  After the panel,
-    the block before it takes the panel's updates as one matrix product,
-    from the first row with a nonzero inflow and the first column with a
-    nonzero outflow on, so a banded class costs its band.  Every update
-    still adds nonnegative terms and the diagonal is never read: only the
-    order of the sums differs from the textbook per-pivot loop.  With one
-    BLAS thread on a 2-core x86 host, a 396-state class takes about 9 ms
-    and a 1,500-state one 0.15 s.  The back-substitution
-    ``pi[j] = pi[:j] @ a[:j, j]`` runs plain while every partial entry
-    stays within ``[1/PLAIN_RANGE, PLAIN_RANGE]`` of ``pi[0] = 1``, and
-    otherwise restarts in :func:`_back_substitute` on the block's nonzero
-    entries.
+    The block is a :class:`SparseRows` ``q``'s on ``members``, or a dense
+    ``q`` that is that block already, eliminated in place.  Pivots are
+    eliminated last to first in panels of ``_PANEL``.  A pivot's outflow
+    row, over the states before it and the roots so far, and its inflow
+    column are its entries of the block plus the panel's pending updates,
+    one matrix-vector product each.  Its raw inflow is written back to
+    ``a[:j, j]`` and its outflow row is divided by its sum ``s``.  After
+    the panel, the block before it and the root columns take the panel's
+    updates as one matrix product, from the first row with a nonzero inflow
+    and the first column with a nonzero outflow on, so a banded class costs
+    its band.  Only the order of the sums differs from the textbook
+    per-pivot loop.  With one BLAS thread on a 2-core x86 host, a 396-state
+    class takes about 9 ms and a 1,500-state one 0.15 s.  When the start is
+    the only root (an irreducible block), ``pi[j] = pi[:j] @ a[:j, j] / s``
+    runs plain while every partial entry stays within ``[1/PLAIN_RANGE,
+    PLAIN_RANGE]`` of ``pi[0] = 1``; otherwise the block's nonzero entries
+    go to :func:`_back_substitute`.
     """
+    a = q.block(members, members) if isinstance(q, SparseRows) else q
     k = a.shape[0]
-    for hi in range(k, 1, -_PANEL):
-        lo = max(1, hi - _PANEL)
-        inflows, outflows = np.zeros((hi, hi - lo)), np.zeros((hi - lo, hi))
+    out, roots = [0.0] * k, []  # each pivot's outflow, 0 at a root
+    for hi in range(k, 0, -_PANEL):
+        lo = max(0, hi - _PANEL)
+        inflows, outflows = np.zeros((hi, hi - lo)), np.zeros((hi - lo, k))
         for t, j in enumerate(range(hi - 1, lo - 1, -1)):
-            outflow = outflows[t, :j] = a[j, :j] + inflows[j, :t] @ outflows[:t, :j]
-            s = outflow.sum()
+            live = np.r_[:j, roots] if roots else slice(j)
+            outflow = a[j, live] + inflows[j, :t] @ outflows[:t, live]
+            s = out[j] = outflow.sum()
             if not s > 0.0:
-                raise SolverError(
-                    f"class member {members[j]} cannot reach the rest of its class"
-                )
-            inflows[:j, t] = a[:j, j] = (a[:j, j] + inflows[:j, :t] @ outflows[:t, j]) / s
+                roots.append(j)
+                continue
+            outflow /= s
+            outflows[t, live] = outflow
+            inflows[:j, t] = a[:j, j] = a[:j, j] + inflows[:j, :t] @ outflows[:t, j]
         hit_rows, hit_cols = inflows[:lo].any(axis=1), outflows[:, :lo].any(axis=0)
-        r, c = hit_rows.argmax(), hit_cols.argmax()
-        if hit_rows[r]:
-            a[r:lo, c:lo] += inflows[r:lo] @ outflows[:, c:lo]
-    pi = np.empty(k)
-    pi[0] = 1.0
-    for j in range(1, k):
-        pi[j] = pi[:j] @ a[:j, j]
-        if not 1.0 / PLAIN_RANGE <= pi[j] <= PLAIN_RANGE:
-            sources = [np.flatnonzero(a[:i, i]) for i in range(k)]
-            return _back_substitute(
-                [(1.0, list(zip(s.tolist(), a[s, i].tolist()))) for i, s in enumerate(sources)]
-            )
-    return pi / pi.sum()
-
-
-def _absorption_weights(q: SparseRows, classes, transient, initial: int) -> np.ndarray:
-    """Probability of ending in each recurrent class, from a transient ``initial``.
-
-    Every recurrent state is sent back to ``initial``.  Each cycle of that
-    restart chain enters exactly one class once, and its one closed class
-    is the reached transient states plus the recurrent states they enter,
-    so a class's share of its occupancy, found by the same subtraction-free
-    elimination, is the class's absorption probability.
-    """
-    label = np.full(len(q), -1)
-    for c, members in enumerate(classes):
-        label[members] = c
-    keep = np.isin(q.row_index, transient)
-    members = np.union1d(transient, q.index[keep])
-    recurrent = members[label[members] >= 0]
-    restart = SparseRows.from_entries(
-        np.concatenate([q.row_index[keep], recurrent]),
-        np.concatenate([q.index[keep], np.full(recurrent.size, initial)]),
-        np.concatenate([q.value[keep], np.ones(recurrent.size)]),
-        len(q),
-        len(q),
-    )
-    pi = np.zeros(len(q))
-    pi[members] = _stationary_on_class(restart, members.tolist())
-    _check_residual(pi, restart)
-    weights = np.bincount(label[recurrent], weights=pi[recurrent], minlength=len(classes))
-    return weights / weights.sum()
+        if hit_rows.any():
+            r, c = hit_rows.argmax(), hit_cols.argmax()
+            cols = np.r_[c:lo, roots] if roots else slice(c, lo)
+            a[r:lo, cols] += inflows[r:lo] @ outflows[:, cols]
+    if roots == [0]:
+        pi = np.ones(k)  # pi[0] = 1; each later entry is set before it is read
+        with np.errstate(over="ignore"):
+            for j in range(1, k):
+                pi[j] = pi[:j] @ a[:j, j] / out[j]
+                if not 1.0 / PLAIN_RANGE <= pi[j] <= PLAIN_RANGE:
+                    break
+            else:
+                return pi / pi.sum()
+    # The last pivot is the start: ``outflow`` is its flows into the roots, over their sum.
+    flows = dict(zip(roots, outflow.tolist())) if out[0] else {0: 1.0}
+    feeds = [None] * k
+    for j in np.flatnonzero(out).tolist():
+        i = np.flatnonzero(a[:j, j])
+        feeds[j] = out[j], list(zip(i.tolist(), a[i, j].tolist()))
+    return _back_substitute(feeds, flows)
 
 
 def stationary(q, initial: int = 0) -> np.ndarray:
     """Long-run occupancy of the chain ``q`` started at ``initial``.
 
-    ``q`` is a dense array or a :class:`SparseRows` kernel.  For a
-    unichain this is the unique stationary distribution, with zeros on
-    the transient states.  Only what ``initial`` reaches is split into
-    classes and solved.  When that holds several closed classes, each is
-    weighted by the probability of being absorbed into it, so the result
-    is the Cesaro limit of the empirical occupancy.  A kernel with no
-    zero entry is one class with nothing to skip, and goes straight to
-    the dense elimination; a dense one is never converted to
-    :class:`SparseRows` on the way.
+    ``q`` is a dense array or a :class:`SparseRows` kernel.  The result is
+    the Cesaro limit of the empirical occupancy: each closed class's
+    stationary vector weighted by the probability of being absorbed into
+    it, with zeros on the transient states.  What ``initial`` reaches is
+    solved by one elimination, ``initial`` last (see
+    :func:`_eliminate_sparse`), on the kernel's nonzero entries, or on a
+    dense block once those fill in.  A kernel with no zero entry is one
+    class and goes straight to the dense elimination; a dense one is never
+    converted to :class:`SparseRows`.
     """
     q = _check_kernel(q)
     n = len(q)
@@ -443,18 +409,15 @@ def stationary(q, initial: int = 0) -> np.ndarray:
     dense = isinstance(q, np.ndarray)
     if dense and not q.all():
         q, dense = SparseRows.from_dense(q), False
-    if dense or q.nnz == n * n:
+    if dense or q.nnz == n * n:  # one class: no start to put last
         pi = _dense_gth(q.copy() if dense else q.dense(), range(n))
-        _check_residual(pi, q)
-        return pi
-    classes, transient = _split(q, [initial])
-    weights = [1.0]
-    if len(classes) > 1:
-        weights = _absorption_weights(q, classes, transient, initial)
-    pi = np.zeros(n)
-    for weight, members in zip(weights, classes):
-        if weight > 0.0:
-            pi[members] += weight * _stationary_on_class(q, members)
+    else:
+        _, labels = _strong_components(n, q.indptr.tolist(), q.index.tolist(), [initial])
+        reached = np.flatnonzero(labels >= 0)
+        members = np.concatenate([[initial], reached[reached != initial]])
+        eliminated = _eliminate_sparse(q, members)
+        pi = np.zeros(n)
+        pi[members] = _back_substitute(*eliminated) if eliminated else _dense_gth(q, members)
     _check_residual(pi, q)
     return pi
 

@@ -240,7 +240,8 @@ class ExperimentSpec:
             raise SpecFormatError(
                 "mechanism section needs one of: blueprint, file, inline"
             )
-        mech = _parse(UpdatingMechanism, _fields(obj, where, ("m", "initial", "decision")), where)
+        obj = _fields(obj, where, ("m", "initial", "decision"), ("transition",))
+        mech = _parse(UpdatingMechanism, obj, where)
         if model is None:
             raise SpecFormatError(
                 "an explicit mechanism needs problem.model in the spec"

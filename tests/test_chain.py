@@ -238,6 +238,76 @@ def test_reducible_occupancy_matches_high_precision_absorption(case):
     assert np.abs(pi[~normal] - ref[~normal]).max(initial=0.0) <= tiny
 
 
+@settings(max_examples=100, deadline=None)
+@given(reducible_kernels())
+def test_dense_and_sparse_root_rules_agree_on_the_reached_block(case):
+    """The dense elimination of the block the start reaches, start first,
+    finds the same roots and weights as the sparse one wherever that stays
+    within its budget."""
+    q, initial = case
+    sparse = SparseRows.from_dense(q)
+    graph = sparse.indptr.tolist(), sparse.index.tolist()
+    labels = chain._strong_components(len(q), *graph, [initial])[1]
+    reached = np.flatnonzero(labels >= 0)
+    members = np.concatenate([[initial], reached[reached != initial]])
+    eliminated = chain._eliminate_sparse(sparse, members)
+    if eliminated is not None:
+        ref = chain._back_substitute(*eliminated)
+        pi = chain._dense_gth(sparse, members)
+        tiny = np.finfo(np.float64).tiny
+        normal = ref >= tiny
+        np.testing.assert_allclose(pi[normal], ref[normal], rtol=1e-14, atol=0.0)
+        assert np.abs(pi[~normal] - ref[~normal]).max(initial=0.0) <= tiny
+
+
+@pytest.mark.parametrize(
+    "q, expected",
+    [
+        ([[0.5, 0.5], [1e-320, 1.0]], [2e-320, 1.0]),
+        ([[0.0, 1.0, 0.0], [0.0, 0.5, 0.5], [1e-320, 0.0, 1.0]], [1e-320, 2e-320, 1.0]),
+    ],
+    ids=["no zero entry", "sparse"],
+)
+def test_a_subnormal_outflow_row_spreads_without_overflow_or_warning(q, expected):
+    """The last state leaves only with probability 1e-320.  Each elimination
+    divides that state's outflow row by its sum, not its inflow, and the
+    occupancy past the float range is rebuilt from mantissas and exponents;
+    a RuntimeWarning would fail the test."""
+    pi = stationary(np.array(q))
+    assert pi[-1] == 1.0
+    np.testing.assert_allclose(pi, expected, rtol=0.0, atol=2 * 5e-324)
+
+
+def test_a_fan_into_16000_absorbing_states_splits_evenly_in_one_elimination(monkeypatch):
+    """The start jumps uniformly into 16,000 absorbing states.  One sparse
+    elimination finds them all as roots, and the start's flows, divided by
+    their ``math.fsum``, give each exactly 1/k."""
+    k = 16_000
+    tips = np.arange(1, k + 1)
+    q = SparseRows.from_sorted(
+        np.concatenate([np.zeros(k, dtype=np.int64), tips]),
+        np.concatenate([tips, tips]),
+        np.concatenate([np.full(k, 1.0 / k), np.ones(k)]),
+        k + 1,
+        k + 1,
+    )
+    calls = []
+    eliminate = chain._eliminate_sparse
+
+    def counted(*args):
+        calls.append(args)
+        return eliminate(*args)
+
+    def refuse(a, members):
+        raise AssertionError("the fan fell back to the dense block")
+
+    monkeypatch.setattr(chain, "_eliminate_sparse", counted)
+    monkeypatch.setattr(chain, "_dense_gth", refuse)
+    pi = stationary(q, 0)
+    assert len(calls) == 1
+    assert pi[0] == 0.0 and (pi[1:] == 1.0 / k).all()
+
+
 WALK = 20_001
 
 
@@ -265,12 +335,12 @@ def test_absorbing_walk_stays_sparse_and_matches_gamblers_ruin(initial, monkeypa
     assert not pi[1:-1].any()
 
 
-def test_transient_start_splits_and_solves_only_what_it_reaches(monkeypatch):
+def test_transient_start_solves_only_what_it_reaches(monkeypatch):
     """A fair walk on states 0..200 whose ends absorb, started at 67, beside
     a closed 2-cycle {201, 202} and transient states 203 and 204 that feed
     the walk and the cycle; the walk reaches none of those four.  One kernel
-    check, one Tarjan pass and one ``stationary`` call solve it, and no
-    member list handed to the elimination holds an unreached state."""
+    check, one Tarjan pass and one elimination solve it, and the member list
+    handed to the elimination holds no unreached state."""
     n, initial = 201, 67
     inner = np.arange(1, n - 1)
     q = SparseRows.from_entries(
@@ -282,30 +352,24 @@ def test_transient_start_splits_and_solves_only_what_it_reaches(monkeypatch):
         n + 4,
         n + 4,
     )
-    calls = {}
+    calls, solved = {}, []
 
     def count(name):
         wrapped = getattr(chain, name)
 
         def counted(*args, **kwargs):
             calls[name] = calls.get(name, 0) + 1
+            if name in ("_eliminate_sparse", "_dense_gth"):
+                solved.append(list(args[1]))
             return wrapped(*args, **kwargs)
 
         monkeypatch.setattr(chain, name, counted)
 
-    for name in ("_strong_components", "_check_kernel", "stationary"):
+    for name in ("_strong_components", "_check_kernel", "_eliminate_sparse", "_dense_gth"):
         count(name)
-    solved = []
-    solve = chain._stationary_on_class
-
-    def record(kernel, members):
-        solved.append(list(members))
-        return solve(kernel, members)
-
-    monkeypatch.setattr(chain, "_stationary_on_class", record)
     pi = chain.stationary(q, initial)
-    assert calls == {"_strong_components": 1, "_check_kernel": 1, "stationary": 1}
-    assert solved and all(max(members) < n for members in solved)
+    assert calls == {"_strong_components": 1, "_check_kernel": 1, "_eliminate_sparse": 1}
+    assert solved[0][0] == initial and sorted(solved[0]) == list(range(n))
     ends = np.array([n - 1 - initial, initial]) / (n - 1)
     np.testing.assert_allclose(pi[[0, n - 1]], ends, rtol=1e-12)
     assert not pi[1 : n - 1].any() and not pi[n:].any()
@@ -407,10 +471,36 @@ def test_dense_elimination_across_panel_edges(n):
         np.testing.assert_allclose(pi, ref, rtol=1e-13, atol=0.0)
 
 
-def test_dense_elimination_names_a_member_without_outflow():
+def test_dense_elimination_takes_a_member_without_outflow_as_a_root():
+    """State 2 absorbs, and states 0 and 1 leak into it: the dense
+    elimination takes it as a root and puts all the mass there."""
     a = np.array([[0.5, 0.25, 0.25], [0.5, 0.0, 0.5], [0.0, 0.0, 1.0]])
-    with pytest.raises(SolverError, match="class member 12 cannot reach"):
-        chain._dense_gth(a, [10, 11, 12])
+    pi = chain._dense_gth(a, [0, 1, 2])
+    np.testing.assert_allclose(pi, oracles.absorption_mp(a, 0), rtol=1e-15, atol=0.0)
+
+
+def test_dense_elimination_carries_roots_across_panels():
+    """Four absorbing states and a 2-cycle among 106 states whose other rows
+    are about half full, started at a transient state.  The sparse pass
+    gives up, and the dense one finds the roots in different panels and
+    keeps their columns in each panel's update.  The reference solves the
+    hitting system by a float LU."""
+    n = 2 * PANEL + 10
+    rng = np.random.default_rng(7)
+    q = rng.random((n, n)) * (rng.random((n, n)) < 0.5)
+    closed = rng.choice(n, size=6, replace=False)
+    q[closed] = 0.0
+    q[closed, np.r_[closed[:4], closed[5], closed[4]]] = 1.0
+    q /= q.sum(axis=1, keepdims=True)
+    transient = np.setdiff1d(np.arange(n), closed)
+    initial = transient[n // 2]
+    hitting = np.eye(transient.size) - q[np.ix_(transient, transient)]
+    expected = np.zeros(n)
+    expected[closed] = np.linalg.solve(hitting, q[np.ix_(transient, closed)])[n // 2]
+    expected[closed[4:]] = expected[closed[4:]].sum() / 2
+    members = np.r_[initial, np.setdiff1d(np.arange(n), [initial])]
+    assert chain._eliminate_sparse(SparseRows.from_dense(q), members) is None
+    np.testing.assert_allclose(stationary(q, initial), expected, rtol=1e-12, atol=0.0)
 
 
 WEAK = SignalModel.from_rows([[0.51, 0.49], [0.49, 0.51]])

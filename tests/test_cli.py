@@ -582,6 +582,7 @@ TWO_STATES = {
         ({}, {"decision": [0.9, 1.2]}, "inline", "mechanism.inline.decision[0]", "an integer"),
         ({}, {"m": "2"}, "inline", "mechanism.inline.m", "a number"),
         ({}, {"decision": [0, None]}, "file", "mechanism file mech.json.decision[1]", "a number"),
+        ({}, {"transition": [[["1.0"], [True]]]}, "inline", "mechanism.inline.transition[0][0][0]", "a number"),
     ],
 )
 def test_eval_refuses_a_model_or_mechanism_integer_of_the_wrong_json_type(
