@@ -148,7 +148,7 @@ def _check_kernel(q):
     shape = (len(q), q.width) if sparse else q.shape
     if len(shape) != 2 or shape[0] != shape[1]:
         raise ValueError(f"kernel must be square, got {shape}")
-    if ((q.value if sparse else q) < 0).any():
+    if (q.value if sparse else q).min(initial=0.0) < 0.0:
         raise ValueError("kernel entries must be nonnegative")
     row_sums = q.row_sums() if sparse else q.sum(axis=1)
     gap = float(np.abs(row_sums - 1.0).max(initial=0.0))
@@ -157,19 +157,19 @@ def _check_kernel(q):
     return q
 
 
-def _strong_components(n: int, indptr: list, succ: list, roots):
-    """Label every state reached from ``roots`` with its strongly connected component.
+def _strong_components(n: int, indptr: list, succ: list):
+    """Label every state with its strongly connected component.
 
     Iterative Tarjan over the successor lists ``succ[indptr[v]:indptr[v+1]]``;
-    returns ``(n_components, labels)``, with label -1 on unreached states.
+    returns ``(n_components, labels)``.
     """
     index = [-1] * n
     low = [0] * n
     on_stack = [False] * n
-    labels = [-1] * n
+    labels = [0] * n
     stack = []
     counter = n_comp = 0
-    for root in roots:
+    for root in range(n):
         if index[root] >= 0:
             continue
         index[root] = low[root] = counter
@@ -206,6 +206,24 @@ def _strong_components(n: int, indptr: list, succ: list, roots):
     return n_comp, np.asarray(labels, dtype=np.int64)
 
 
+def _reach(q: SparseRows, start: int) -> np.ndarray:
+    """The states ``start`` reaches along ``q``'s entries, in increasing order.
+
+    Reads the successors of the states it visits and no others.
+    """
+    indptr, succ = q.indptr.tolist(), memoryview(np.ascontiguousarray(q.index))
+    seen = [False] * len(q)
+    seen[start] = True
+    stack = [start]
+    while stack:
+        v = stack.pop()
+        for u in succ[indptr[v] : indptr[v + 1]]:
+            if not seen[u]:
+                seen[u] = True
+                stack.append(u)
+    return np.flatnonzero(seen)
+
+
 def recurrent_classes(q):
     """Split states into recurrent classes and transient states.
 
@@ -220,7 +238,7 @@ def recurrent_classes(q):
     if not isinstance(q, SparseRows):
         q = SparseRows.from_dense(q)
     n = len(q)
-    n_comp, labels = _strong_components(n, q.indptr.tolist(), q.index.tolist(), range(n))
+    n_comp, labels = _strong_components(n, q.indptr.tolist(), q.index.tolist())
     rows, cols = q.row_index, q.index
     closed = np.ones(n_comp, dtype=bool)
     closed[labels[rows[labels[rows] != labels[cols]]]] = False
@@ -243,14 +261,15 @@ def _eliminate_sparse(q: SparseRows, members):
     ``i < j``, and the start's flows into the roots; or ``None`` once the
     updates made would exceed the block's nonzero count.  Updates are the
     textbook loop's, in its order; only a row's sum may be taken in another.
+    Only the members' rows of ``q`` are read.
     :func:`_dense_gth` sums in panels, so the two agree to rounding, not
     bitwise.  The diagonal, which GTH never reads, is not kept.
     """
     k, local = len(members), np.full(len(q), -1)
     local[members] = np.arange(k)
-    entry_rows = local[q.row_index]
-    keep = entry_rows >= 0
-    row, col, value = entry_rows[keep], local[q.index[keep]], q.value[keep]
+    states = np.sort(members)  # the members' entries in the kernel's order
+    entry, place = q.entries(states)
+    row, col, value = local[states][place], local[q.index[entry]], q.value[entry]
     budget, off = row.size, row != col
     rows, cols = [{} for _ in range(k)], [[] for _ in range(k)]
     for i, c, v in zip(row[off].tolist(), col[off].tolist(), value[off].tolist()):
@@ -309,11 +328,15 @@ def _back_substitute(feeds, flows) -> np.ndarray:
             if not pairs:
                 continue
             label[j] = label[pairs[0][0]]
-        top = max([exponent[i] for i, _ in pairs])
         scale, drop = math.frexp(s)
-        total = 0.0
-        for i, a in pairs:
-            total += math.ldexp(mantissa[i], exponent[i] - top) * (a / scale)
+        if len(pairs) == 1:  # the loop's result: ldexp(x, 0) is x and 0.0 + x is x
+            (i, a), = pairs
+            top, total = exponent[i], mantissa[i] * (a / scale)
+        else:
+            top = max([exponent[i] for i, _ in pairs])
+            total = 0.0
+            for i, a in pairs:
+                total += math.ldexp(mantissa[i], exponent[i] - top) * (a / scale)
         mantissa[j], shift = math.frexp(total)
         exponent[j] = top + shift - drop
     weight, total = np.zeros(k), math.fsum(flows.values())
@@ -400,7 +423,8 @@ def stationary(q, initial: int = 0) -> np.ndarray:
     :func:`_eliminate_sparse`), on the kernel's nonzero entries, or on a
     dense block once those fill in.  A kernel with no zero entry is one
     class and goes straight to the dense elimination; a dense one is never
-    converted to :class:`SparseRows`.
+    converted to :class:`SparseRows`.  A sparse kernel's rows that
+    ``initial`` does not reach are read only by the kernel checks.
     """
     q = _check_kernel(q)
     n = len(q)
@@ -412,8 +436,7 @@ def stationary(q, initial: int = 0) -> np.ndarray:
     if dense or q.nnz == n * n:  # one class: no start to put last
         pi = _dense_gth(q.copy() if dense else q.dense(), range(n))
     else:
-        _, labels = _strong_components(n, q.indptr.tolist(), q.index.tolist(), [initial])
-        reached = np.flatnonzero(labels >= 0)
+        reached = _reach(q, initial)
         members = np.concatenate([[initial], reached[reached != initial]])
         eliminated = _eliminate_sparse(q, members)
         pi = np.zeros(n)
@@ -578,8 +601,9 @@ def joint_occupancy(
     Because both agents react to the *same* draw each period, this is not
     the product of the marginal occupancies.  The pair kernel is the sum
     over signals of ``mass[w, s]`` times the Kronecker product of the two
-    mechanisms' rows for signal ``s``, summed in signal order and built
-    sparse.
+    mechanisms' rows for signal ``s``, summed in signal order.  When each
+    mechanism can move every state to every state, that is a dense block;
+    otherwise it is built sparse.
     """
     model = problem.model
     check_fit(mech_a, model, w)
@@ -590,15 +614,19 @@ def joint_occupancy(
     source_b, target_b, prob_b = mech_b.moves
     value = np.zeros((source_a.size, source_b.size))
     for s in range(model.alphabet_size):
-        a, b = np.flatnonzero(prob_a[:, s]), np.flatnonzero(prob_b[:, s])
-        value[np.ix_(a, b)] += (model.mass[w, s] * prob_a[a, s])[:, None] * prob_b[b, s]
-    # A stable sort by pair state keeps each row's columns in order.
-    row = (source_a[:, None] * mb + source_b).ravel()
-    order = np.argsort(row, kind="stable")
-    row, value = row[order], value.ravel()[order]
-    col = (target_a[:, None] * mb + target_b).ravel()[order]
-    keep = value != 0.0
-    kernel = SparseRows.from_sorted(row[keep], col[keep], value[keep], ma * mb, ma * mb)
+        value += np.outer(model.mass[w, s] * prob_a[:, s], prob_b[:, s])
+    if source_a.size == ma * ma and source_b.size == mb * mb:
+        # Each rule moves every state to every state, in (source, target)
+        # order, so the grid is the kernel with its axes permuted.
+        kernel = value.reshape(ma, ma, mb, mb).transpose(0, 2, 1, 3).reshape(ma * mb, ma * mb)
+    else:
+        # A stable sort by pair state keeps each row's columns in order.
+        row = (source_a[:, None] * mb + source_b).ravel()
+        order = np.argsort(row, kind="stable")
+        row, value = row[order], value.ravel()[order]
+        col = (target_a[:, None] * mb + target_b).ravel()[order]
+        keep = value != 0.0
+        kernel = SparseRows.from_sorted(row[keep], col[keep], value[keep], ma * mb, ma * mb)
     start = mech_a.initial_state * mb + mech_b.initial_state
     return stationary(kernel, start).reshape(ma, mb)
 

@@ -73,22 +73,41 @@ class SparseRows:
     # Makes numpy defer ``x @ self`` to ``__rmatmul__``.
     __array_ufunc__ = None
 
+    def entries(self, rows):
+        """The stored entries of ``rows``, which are distinct and increasing.
+
+        Returns ``(entry, place)``: each entry's position in ``index`` and
+        ``value``, in storage order, and its row's position in ``rows``.
+        Only those rows' entries are touched, so a few rows of a large
+        matrix cost little.
+        """
+        rows = np.asarray(rows, dtype=np.int64)
+        if rows.size == len(self):  # every row
+            return np.arange(self.nnz), self.row_index
+        start = self.indptr[rows]
+        count = self.indptr[rows + 1] - start
+        place = np.repeat(np.arange(rows.size), count)
+        first = np.cumsum(count) - count  # each row's first slot in the output
+        return start[place] + (np.arange(place.size) - first[place]), place
+
     def __rmatmul__(self, x: np.ndarray) -> np.ndarray:
-        """``x @ self`` for a vector ``x``."""
+        """``x @ self`` for a vector ``x``, reading only the rows where ``x`` is nonzero."""
+        rows = np.flatnonzero(x)
+        entry, place = self.entries(rows)
         return np.bincount(
-            self.index, weights=x[self.row_index] * self.value, minlength=self.width
+            self.index[entry], weights=x[rows[place]] * self.value[entry], minlength=self.width
         )
 
     def block(self, rows, cols) -> np.ndarray:
-        """Dense ``self[np.ix_(rows, cols)]``."""
-        row_pos = np.full(len(self), -1)
-        row_pos[rows] = np.arange(len(rows))
+        """Dense ``self[np.ix_(rows, cols)]`` for distinct ``rows``, reading only their entries."""
+        order = np.argsort(rows)
+        entry, place = self.entries(np.asarray(rows)[order])
         col_pos = np.full(self.width, -1)
         col_pos[cols] = np.arange(len(cols))
-        r, c = row_pos[self.row_index], col_pos[self.index]
-        keep = (r >= 0) & (c >= 0)
+        c = col_pos[self.index[entry]]
+        keep = c >= 0
         out = np.zeros((len(rows), len(cols)))
-        out[r[keep], c[keep]] = self.value[keep]
+        out[order[place[keep]], c[keep]] = self.value[entry[keep]]
         return out
 
     def dense(self) -> np.ndarray:

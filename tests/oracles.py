@@ -196,6 +196,19 @@ def dense_gth(kernel: np.ndarray) -> np.ndarray:
     return pi / pi.sum()
 
 
+def pair_kernel(mass_row, trans_a: np.ndarray, trans_b: np.ndarray) -> np.ndarray:
+    """Kernel of two rules fed one signal stream, with pair ``(x, y)`` at ``x * m_b + y``.
+
+    It is ``sum_s mass_row[s] * kron(trans_a[:, s, :], trans_b[:, s, :])``,
+    with the mass multiplied into agent A's rows and the signals added in
+    order from zero, so every entry is rounded as the package rounds it.
+    """
+    kernel = np.zeros((trans_a.shape[0] * trans_b.shape[0],) * 2)
+    for s, mass in enumerate(mass_row):
+        kernel += np.kron(mass * trans_a[:, s, :], trans_b[:, s, :])
+    return kernel
+
+
 def gth_mp(kernel: np.ndarray, digits: int = 40) -> np.ndarray:
     """The textbook GTH loop of :func:`dense_gth` in mpmath at ``digits``.
 

@@ -81,6 +81,25 @@ def test_sparse_rows_add_repeated_cells_in_order_and_drop_zeros():
     assert len(rows) == 3 and rows.nnz == 2
 
 
+def test_sparse_rows_read_only_the_rows_asked_for():
+    """``entries``, ``block`` and ``x @ rows`` on a random matrix with empty
+    rows, against its dense form."""
+    rng = np.random.default_rng(9)
+    dense = rng.random((7, 5)) * (rng.random((7, 5)) < 0.4)
+    dense[3] = 0.0
+    rows = SparseRows.from_dense(dense)
+    for picked in ([0, 2, 3, 6], range(7)):
+        entry, place = rows.entries(picked)
+        spans = [np.arange(rows.indptr[r], rows.indptr[r + 1]) for r in picked]
+        np.testing.assert_array_equal(entry, np.concatenate(spans))
+        np.testing.assert_array_equal(place, np.repeat(np.arange(len(spans)), [s.size for s in spans]))
+    picked = [6, 3, 0, 2]
+    np.testing.assert_array_equal(rows.block(picked, [4, 1, 2]), dense[np.ix_(picked, [4, 1, 2])])
+    x = rng.random(7)
+    x[[1, 5]] = 0.0
+    np.testing.assert_allclose(x @ rows, x @ dense, rtol=1e-15)
+
+
 def test_mechanism_from_sparse_rows_matches_its_dense_tensor():
     rng = np.random.default_rng(4)
     tr = rng.dirichlet(np.ones(4), size=(4, 3)) * (rng.random((4, 3, 4)) < 0.6)

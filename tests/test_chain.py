@@ -1,5 +1,6 @@
 """Stationary analysis: solver, occupancy, utilities, simulation, coupling."""
 
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -246,9 +247,7 @@ def test_dense_and_sparse_root_rules_agree_on_the_reached_block(case):
     within its budget."""
     q, initial = case
     sparse = SparseRows.from_dense(q)
-    graph = sparse.indptr.tolist(), sparse.index.tolist()
-    labels = chain._strong_components(len(q), *graph, [initial])[1]
-    reached = np.flatnonzero(labels >= 0)
+    reached = chain._reach(sparse, initial)
     members = np.concatenate([[initial], reached[reached != initial]])
     eliminated = chain._eliminate_sparse(sparse, members)
     if eliminated is not None:
@@ -339,7 +338,7 @@ def test_transient_start_solves_only_what_it_reaches(monkeypatch):
     """A fair walk on states 0..200 whose ends absorb, started at 67, beside
     a closed 2-cycle {201, 202} and transient states 203 and 204 that feed
     the walk and the cycle; the walk reaches none of those four.  One kernel
-    check, one Tarjan pass and one elimination solve it, and the member list
+    check, one reach and one elimination solve it, and the member list
     handed to the elimination holds no unreached state."""
     n, initial = 201, 67
     inner = np.arange(1, n - 1)
@@ -365,10 +364,10 @@ def test_transient_start_solves_only_what_it_reaches(monkeypatch):
 
         monkeypatch.setattr(chain, name, counted)
 
-    for name in ("_strong_components", "_check_kernel", "_eliminate_sparse", "_dense_gth"):
+    for name in ("_reach", "_check_kernel", "_eliminate_sparse", "_dense_gth"):
         count(name)
     pi = chain.stationary(q, initial)
-    assert calls == {"_strong_components": 1, "_check_kernel": 1, "_eliminate_sparse": 1}
+    assert calls == {"_reach": 1, "_check_kernel": 1, "_eliminate_sparse": 1}
     assert solved[0][0] == initial and sorted(solved[0]) == list(range(n))
     ends = np.array([n - 1 - initial, initial]) / (n - 1)
     np.testing.assert_allclose(pi[[0, n - 1]], ends, rtol=1e-12)
@@ -895,3 +894,110 @@ def test_disagreement_is_a_probability(seed):
         )
     per_state = disagreement_probability(prob, *mechs)
     assert ((per_state >= -1e-12) & (per_state <= 1 + 1e-12)).all()
+
+
+@st.composite
+def rule_pairs(draw):
+    """Two rules on 2-3 signals and a problem, drawn three ways.
+
+    ``dirichlet`` rules move every state to every state, so the pair's
+    moves grid is full; ``deterministic`` tables leave it sparse;
+    ``signal-named`` rules have as many states as signals and go to the
+    state named by the signal (agent B under a drawn relabelling), so every
+    move exists but a pair of moves on different signals has zero mass.
+    """
+    kind = draw(st.sampled_from(["dirichlet", "deterministic", "signal-named"]))
+    k = draw(st.integers(min_value=2, max_value=3))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    rules = []
+    for agent in range(2):
+        m = k if kind == "signal-named" else draw(st.integers(min_value=1, max_value=6))
+        if kind == "dirichlet":
+            tr = rng.dirichlet(np.ones(m), size=(m, k))
+        else:
+            if kind == "signal-named":
+                target = np.broadcast_to(rng.permutation(k) if agent else np.arange(k), (m, k))
+            else:
+                target = rng.integers(0, m, size=(m, k))
+            tr = np.zeros((m, k, m))
+            tr[np.arange(m)[:, None], np.arange(k), target] = 1.0
+        decision = rng.integers(0, 2, size=m)
+        rules.append(UpdatingMechanism(m, tr, decision, int(rng.integers(m))))
+    model = SignalModel.from_rows(rng.dirichlet(np.ones(k), size=2))
+    return uniform_problem(model), *rules, draw(st.integers(min_value=0, max_value=1))
+
+
+@settings(max_examples=100, deadline=None)
+@given(rule_pairs())
+def test_pair_kernel_is_the_sum_of_kronecker_products(case):
+    """The kernel ``stationary`` receives is ``oracles.pair_kernel`` entry for
+    entry, dense or sparse, and the joint occupancy is the high-precision
+    absorption solve of that kernel from the start pair."""
+    problem, mech_a, mech_b, w = case
+    ref = oracles.pair_kernel(problem.model.mass[w], mech_a.transition, mech_b.transition)
+    seen, solve = [], chain.stationary
+
+    def spy(q, initial=0):
+        seen.append(q)
+        return solve(q, initial)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(chain, "stationary", spy)
+        joint = joint_occupancy(problem, mech_a, mech_b, w)
+    (kernel,) = seen
+    np.testing.assert_array_equal(kernel.dense() if isinstance(kernel, SparseRows) else kernel, ref)
+    start = mech_a.initial_state * mech_b.m_size + mech_b.initial_state
+    np.testing.assert_allclose(joint.ravel(), oracles.absorption_mp(ref, start), rtol=1e-12, atol=0.0)
+
+
+def test_a_pair_of_full_rules_builds_no_sparse_kernel(monkeypatch):
+    """Two rules that move every state to every state make a pair kernel
+    with no zero entry, built and solved as a dense block."""
+    rng = np.random.default_rng(7)
+    model = SignalModel.from_rows(rng.dirichlet(np.ones(2), size=2))
+    mechs = [
+        UpdatingMechanism(m, rng.dirichlet(np.ones(m), size=(m, 2)), rng.integers(0, 2, size=m))
+        for m in (5, 7)
+    ]
+    for mech in mechs:
+        mech.moves  # the rules' own tables are built beforehand
+
+    def refuse(*args):
+        raise AssertionError("a pair of full rules built a SparseRows kernel")
+
+    monkeypatch.setattr(SparseRows, "from_sorted", classmethod(refuse))
+    joint = joint_occupancy(uniform_problem(model), *mechs, 1)
+    assert joint.shape == (5, 7) and (joint > 0).all()
+    assert abs(joint.sum() - 1.0) <= 1e-12
+
+
+def test_stationary_temporaries_do_not_grow_with_what_the_start_misses():
+    """A 60-state class that fills in past the sparse budget, beside 2,000
+    states it never reaches, holding 2 or 50 entries each.  The dense block
+    is read from the class's own rows, so the call's temporaries, its peak
+    over what it leaves behind, stay the same while the kernel gains
+    96,000 entries."""
+    rng = np.random.default_rng(3)
+    k, far = 60, 2000
+
+    def kernel(per_row):
+        near = np.stack([(np.arange(k) + 1) % k, *rng.integers(0, k, size=(2, k))], axis=1)
+        start = np.arange(far)[:, None]
+        away = k + (start + np.arange(1, per_row + 1)) % far
+        rows = np.concatenate([np.repeat(np.arange(k), 3), np.repeat(k + np.arange(far), per_row)])
+        cols = np.concatenate([near.ravel(), away.ravel()])
+        values = np.concatenate([np.full(3 * k, 1 / 3), np.full(far * per_row, 1 / per_row)])
+        return SparseRows.from_entries(rows, cols, values, k + far, k + far)
+
+    temporaries = []
+    for per_row in (2, 50):
+        q = kernel(per_row)
+        tracemalloc.start()
+        try:
+            pi = stationary(q, 0)
+            left, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert pi[:k].sum() == pytest.approx(1.0) and not pi[k:].any()
+        temporaries.append(peak - left)
+    assert abs(temporaries[1] - temporaries[0]) < 64 * 1024, temporaries

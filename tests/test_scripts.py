@@ -4,7 +4,8 @@ They back the README's numbers and call the package's internals, so a
 renamed function should fail here, not the next time a script is run.
 Every script keeps its work behind a ``__main__`` guard, so loading one
 runs nothing.  The absorbing-walk script, which backs the README's
-reducible-chain figures, is also run at a small size, and the enumeration
+reducible-chain figures, and the pair-chain script, which backs its
+``disagree`` figures, are also run at a small size, and the enumeration
 script, which exits non-zero when a frozen winner changes, is run once.
 """
 
@@ -58,3 +59,13 @@ def test_enumeration_script_finds_every_frozen_winner():
     assert done.returncode == 0, done.stderr
     report = json.loads(done.stdout.splitlines()[-1])
     assert report["binary m=4"]["loss"] == pytest.approx(1 / 17, abs=1e-12)
+
+
+def test_pair_chain_script_runs_on_a_full_and_a_sparse_pair():
+    done = run_script(
+        "pair_chain_scaling.py", "--ladders", "4x5", "--line-star", "4x2", "--repeats", "1"
+    )
+    assert done.returncode == 0, done.stderr
+    report = json.loads(done.stdout.splitlines()[-1])
+    assert report["states"] == {"ladders 4x5": 20, "line 4 x star 2": 20}
+    assert all(r <= 1e-8 for r in report["residual"].values())
