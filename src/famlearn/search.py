@@ -10,8 +10,10 @@ be attained, so nothing here ever claims it.  Instead:
 * :func:`local_search` runs restarted simulated annealing over the full
   stochastic class, reporting the best loss found and an improvement
   trace; its restarts advance in lockstep, each on its own spawned RNG
-  stream, with one batched solve per step pricing every restart's
-  proposal, and the result equals running them one after another;
+  stream (one gamma draw per proposal, the rest drawn in chunks), with
+  one batched solve per step pricing every restart's proposal and no
+  solve when no proposal moves, and the result equals running them one
+  after another;
 * :func:`epsilon_gap` turns a reference loss (enumeration, a closed
   form, or a bound) into the certified suboptimality of a result.
 
@@ -43,10 +45,15 @@ class SearchConfig:
     """Knobs for :func:`local_search`; defaults solve small instances fast.
 
     Proposals redraw one transition row from a Dirichlet centered on its
-    current value with concentration ``row / step_scale``, so smaller
-    ``step_scale`` means bolder moves; because the Dirichlet piles mass
-    on faces when a row is already extreme, the walk can approach the
-    deterministic corners where optima often sit.
+    current value with concentration ``row / step_scale`` (plus a 1e-6
+    floor), so larger ``step_scale`` means bolder moves; because the
+    Dirichlet piles mass on faces when a row is already extreme, the walk
+    can approach the deterministic corners where optima often sit.  A row
+    on a corner is mostly proposed back onto that corner, and such a step
+    costs no solve.  ``restarts`` independent walks of ``iterations``
+    proposals each run from ``seed``; a restart's walk does not depend on
+    how many restarts run.  The temperature starts at
+    ``initial_temperature`` and is multiplied by ``cooling`` every step.
     """
 
     m_size: int
@@ -263,8 +270,11 @@ def _fast_loss(problem: Problem, transitions: np.ndarray, stakes, eye, unit) -> 
     singular or the answer invalid; those score ``inf`` and are simply
     never accepted.  A singular system makes the stacked solve raise, so
     the stack is then solved restart by restart and only the singular
-    restarts score ``inf``.  Each restart's loss is bit for bit what the
-    same tensor scores alone.
+    restarts score ``inf``.  The solution is clipped at zero and
+    normalised, each memory state takes its pointwise best action, and
+    the loss sums the stake-weighted occupancy decided wrongly, as
+    :func:`chain._price` does, without forming the utility.  Each
+    restart's loss is bit for bit what the same tensor scores alone.
     """
     kernels = np.einsum("ws,rmsj->rwjm", problem.model.mass, transitions)
     a = kernels - eye
@@ -282,12 +292,16 @@ def _fast_loss(problem: Problem, transitions: np.ndarray, stakes, eye, unit) -> 
     totals = pi.sum(axis=-1, keepdims=True)
     positive = totals > 0.0
     np.divide(pi, totals, out=pi, where=positive)
-    loss = _price(stakes, pi)[1]
+    weighted = stakes[:, None] * pi
+    wrong = weighted.argmax(axis=-2)[..., None, :] != np.arange(stakes.size)[:, None]
+    loss = weighted.sum(axis=(-2, -1), where=wrong)
     return np.where(positive.all(axis=(1, 2)) & np.isfinite(loss), loss, math.inf)
 
 
 #: Keeps Dirichlet concentrations positive when a row entry hits zero.
 _ALPHA_FLOOR = 1e-6
+#: Steps whose row cells and acceptance uniforms a restart draws at once.
+_CHUNK = 256
 
 
 def local_search(problem: Problem, config: SearchConfig) -> SearchResult:
@@ -295,17 +309,24 @@ def local_search(problem: Problem, config: SearchConfig) -> SearchResult:
 
     Each proposal redraws one (memory, signal) row from a Dirichlet
     centered on its current value, and the decision rule is re-optimized
-    inside every evaluation.  Restarts use independent spawned RNG
-    streams and advance in lockstep: each draws from its own stream in
-    the order it would alone, and one batched :func:`_fast_loss` prices
-    every restart's proposal per step, so the result is exactly that of
-    running the restarts one after another.  The answer is a pure
-    function of the config; the winner is the lowest loss with ties going
-    to the earlier restart, and the trace numbers restart ``r``'s
-    iteration ``it`` as ``r * iterations + it``.  A final rounding pass
-    prices the deterministic table nearest the best tensor and keeps it
-    when it does at least as well — optima frequently sit exactly on
-    those corners, which a stochastic walk only approaches.
+    inside every evaluation.  Every restart draws from its own spawned RNG
+    stream: every ``_CHUNK`` steps, that chunk's row cells and then its
+    acceptance uniforms, and at every step one ``standard_gamma`` call
+    over the row's concentrations, divided by its sum (or, when every
+    gamma draw underflows to zero, one ``dirichlet`` call).  So a
+    restart's walk does not depend on how many restarts run.  The
+    restarts advance in lockstep: one batched :func:`_fast_loss` prices
+    every restart's proposal per step, and acceptance and best-tracking
+    are array operations over the restarts.  A step where no restart's
+    proposed row differs from its current row skips the solve, since the
+    same tensors price to the same losses.  The answer is a pure function
+    of the config and equals running the restarts one after another; the
+    winner is the lowest loss with ties going to the earlier restart, and
+    the trace numbers restart ``r``'s iteration ``it`` as
+    ``r * iterations + it``.  A final rounding pass prices the
+    deterministic table nearest the best tensor and keeps it when it does
+    at least as well — optima frequently sit exactly on those corners,
+    which a stochastic walk only approaches.
     """
     m, n, k = config.m_size, problem.n_states, problem.model.alphabet_size
     stakes = problem.stakes
@@ -315,46 +336,64 @@ def local_search(problem: Problem, config: SearchConfig) -> SearchResult:
 
     streams = np.random.SeedSequence(config.seed).spawn(config.restarts)
     rngs = [np.random.default_rng(stream) for stream in streams]
+    restart = np.arange(config.restarts)
     current = np.stack([rng.dirichlet(np.ones(m), size=(m, k)) for rng in rngs])
-    current_loss = _fast_loss(problem, current, stakes, eye, unit).tolist()
+    current_loss = _fast_loss(problem, current, stakes, eye, unit)
     best = current.copy()
-    best_loss = [math.inf] * config.restarts
-    events = [[] for _ in rngs]  # each restart's own improvements (it, loss)
+    best_loss = np.full(config.restarts, math.inf)
+    events = []  # (it, each restart's new best loss, inf where it has none)
 
     def record(it):
-        for r, loss in enumerate(current_loss):
-            if loss < best_loss[r]:
-                best_loss[r] = loss
-                best[r] = current[r]
-                events[r].append((it, loss))
+        improved = current_loss < best_loss
+        if improved.any():
+            best[improved] = current[improved]
+            best_loss[improved] = current_loss[improved]
+            events.append((it, np.where(improved, current_loss, math.inf)))
 
     record(0)
+    rows = current.reshape(-1, m)  # a view: row r * m * k + cell is restart r's cell
+    gamma = np.empty((config.restarts, m))
     temperature = config.initial_temperature
     for it in range(1, config.iterations + 1):
         temperature *= config.cooling
+        step = (it - 1) % _CHUNK
+        if step == 0:
+            cells = np.stack([rng.integers(m * k, size=_CHUNK) for rng in rngs], axis=1)
+            cells += restart * (m * k)
+            uniforms = np.stack([rng.random(_CHUNK) for rng in rngs], axis=1)
+        cell = cells[step]
+        old = rows[cell]
+        alpha = old / config.step_scale + _ALPHA_FLOOR
+        for rng, a, out in zip(rngs, alpha, gamma):
+            rng.standard_gamma(a, out=out)
+        total = gamma.sum(axis=1)
+        if not total.all():  # every gamma draw of a row underflowed
+            for r in np.flatnonzero(total == 0.0):
+                gamma[r], total[r] = rngs[r].dirichlet(alpha[r]), 1.0
+        row = gamma / total[:, None]
+        if (row == old).all():
+            continue  # the same tensors price to the same losses
         proposal = current.copy()
-        for r, rng in enumerate(rngs):
-            row_m = int(rng.integers(m))
-            row_s = int(rng.integers(k))
-            proposal[r, row_m, row_s] = rng.dirichlet(
-                current[r, row_m, row_s] / config.step_scale + _ALPHA_FLOOR
-            )
-        proposal_loss = _fast_loss(problem, proposal, stakes, eye, unit).tolist()
-        for r, rng in enumerate(rngs):
-            delta = proposal_loss[r] - current_loss[r]
-            if delta <= 0.0 or rng.random() < math.exp(-delta / temperature):
-                current[r] = proposal[r]
-                current_loss[r] = proposal_loss[r]
+        proposal.reshape(-1, m)[cell] = row
+        proposal_loss = _fast_loss(problem, proposal, stakes, eye, unit)
+        # inf - inf, a zero temperature and exp of a gain are all decided
+        # by the comparisons alone
+        with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+            delta = proposal_loss - current_loss
+            accept = (delta <= 0.0) | (uniforms[step] < np.exp(-delta / temperature))
+        current[accept] = proposal[accept]
+        current_loss[accept] = proposal_loss[accept]
         record(it)
 
     # Replay the restarts in order: an improvement counts only when it
     # beats every earlier restart too, as it would have run alone.
-    trace, winner = [], None
-    for r, restart_events in enumerate(events):
-        for it, loss in restart_events:
-            if not trace or loss < trace[-1][1]:
-                trace.append((r * config.iterations + it, loss))
-                winner = r
+    steps = np.array([it for it, _ in events], dtype=np.int64)
+    iterations = (steps + config.iterations * restart[:, None]).ravel()
+    bests = np.array([loss for _, loss in events]).reshape(len(events), config.restarts)
+    losses = bests.T.ravel()
+    keep = losses < np.minimum.accumulate(np.append(math.inf, losses))[:-1]
+    trace = list(zip(iterations[keep].tolist(), losses[keep].tolist()))
+    winner = np.flatnonzero(keep)[-1] // len(events) if trace else 0
     best_transition = best[winner]
 
     result = _exact_result(problem, best_transition, trace=trace)

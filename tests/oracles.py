@@ -9,7 +9,8 @@ generic numeric optimizer.  The exceptions are former
 loops kept as references for their faster replacements, which must match
 them bit for bit: :func:`sequential_anneal`, the annealer's
 restart-by-restart loop, shares the package's pricing and exact
-re-solve, because only the order of the walk changed; and
+re-solve, because only the order of the walk and the skip of a step
+that moves nothing changed; and
 :func:`sequential_monte_carlo` is the Monte Carlo walk's per-row set-up
 and loop.
 Expected values in the test modules were produced by these functions
@@ -31,7 +32,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from famlearn.chain import _price
-from famlearn.search import _ALPHA_FLOOR, _exact_result
+from famlearn.search import _ALPHA_FLOOR, _CHUNK, _exact_result
 
 
 def cesaro_occupancy(kernel: np.ndarray, initial: int, doublings: int = 50) -> np.ndarray:
@@ -355,13 +356,17 @@ def scalar_fast_loss(problem, transition, stakes, eye, unit) -> float:
 
 
 def sequential_anneal(problem, config):
-    """``famlearn.local_search`` as it ran before its restarts ran in lockstep.
+    """``famlearn.local_search`` with its restarts run one after another.
 
-    Restarts run one after another, each on its own spawned stream, and
-    every proposal is priced alone; the lockstep annealer must return
-    this result bit for bit.
+    Each restart walks on its own spawned stream, drawn in the annealer's
+    layout: every ``_CHUNK`` steps the chunk's row cells and then its
+    acceptance uniforms, and at every step one ``standard_gamma`` call
+    divided by its sum, or one ``dirichlet`` call when every gamma draw
+    underflows.  Every proposal is priced alone, with no skip for a row
+    that did not move; the lockstep annealer must return this result bit
+    for bit.
     """
-    m, n = config.m_size, problem.n_states
+    m, n, k = config.m_size, problem.n_states, problem.model.alphabet_size
     stakes = problem.stakes
     eye = np.broadcast_to(np.eye(m), (n, m, m)).copy()
     unit = np.zeros((n, m))
@@ -373,7 +378,7 @@ def sequential_anneal(problem, config):
     events = []
     for restart, stream in enumerate(streams):
         rng = np.random.default_rng(stream)
-        current = rng.dirichlet(np.ones(m), size=(m, problem.model.alphabet_size))
+        current = rng.dirichlet(np.ones(m), size=(m, k))
         current_loss = scalar_fast_loss(problem, current, stakes, eye, unit)
         if current_loss < best_loss:
             best_loss = current_loss
@@ -382,17 +387,22 @@ def sequential_anneal(problem, config):
         temperature = config.initial_temperature
         for it in range(1, config.iterations + 1):
             temperature *= config.cooling
-            row_m = int(rng.integers(m))
-            row_s = int(rng.integers(problem.model.alphabet_size))
+            step = (it - 1) % _CHUNK
+            if step == 0:
+                cells = rng.integers(m * k, size=_CHUNK)
+                uniforms = rng.random(_CHUNK)
+            row_m, row_s = divmod(int(cells[step]), k)
+            alpha = current[row_m, row_s] / config.step_scale + _ALPHA_FLOOR
+            gamma = rng.standard_gamma(alpha)
+            total = gamma.sum()
             proposal = current.copy()
-            proposal[row_m, row_s] = rng.dirichlet(
-                current[row_m, row_s] / config.step_scale + _ALPHA_FLOOR
-            )
+            proposal[row_m, row_s] = gamma / total if total > 0.0 else rng.dirichlet(alpha)
             proposal_loss = scalar_fast_loss(problem, proposal, stakes, eye, unit)
-            delta = proposal_loss - current_loss
-            if delta <= 0.0 or rng.random() < math.exp(-delta / temperature):
-                current = proposal
-                current_loss = proposal_loss
+            with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+                delta = np.float64(proposal_loss) - current_loss
+                if delta <= 0.0 or uniforms[step] < np.exp(-delta / temperature):
+                    current = proposal
+                    current_loss = proposal_loss
             if current_loss < best_loss:
                 best_loss = current_loss
                 best_transition = current.copy()

@@ -4,9 +4,10 @@ They back the README's numbers and call the package's internals, so a
 renamed function should fail here, not the next time a script is run.
 Every script keeps its work behind a ``__main__`` guard, so loading one
 runs nothing.  The absorbing-walk script, which backs the README's
-reducible-chain figures, and the pair-chain script, which backs its
-``disagree`` figures, are also run at a small size, and the enumeration
-script, which exits non-zero when a frozen winner changes, is run once.
+reducible-chain figures, the pair-chain script, which backs its
+``disagree`` figures, and the anneal script, which backs its annealing
+figures, are also run at a small size, and the enumeration script, which
+exits non-zero when a frozen winner changes, is run once.
 """
 
 import importlib.util
@@ -69,3 +70,15 @@ def test_pair_chain_script_runs_on_a_full_and_a_sparse_pair():
     report = json.loads(done.stdout.splitlines()[-1])
     assert report["states"] == {"ladders 4x5": 20, "line 4 x star 2": 20}
     assert all(r <= 1e-8 for r in report["residual"].values())
+
+
+def test_anneal_script_times_the_study_and_counts_skipped_steps():
+    done = run_script(
+        "anneal_scaling.py", "--sizes", "1", "3", "--iterations", "60", "--repeats", "1"
+    )
+    assert done.returncode == 0, done.stderr
+    report = json.loads(done.stdout.splitlines()[-1])
+    assert set(report["ms"]) == set(report["us_per_proposal"]) == {"1", "3"}
+    assert report["skipped"]["1"] == 1.0  # a one-state row never moves
+    assert 0.0 <= report["skipped"]["3"] < 1.0
+    assert report["loss"]["1"] == pytest.approx(0.5, abs=1e-12)

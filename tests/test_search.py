@@ -1,6 +1,7 @@
 """Exhaustive and annealed mechanism search."""
 
 import dataclasses
+import tracemalloc
 import warnings
 from itertools import product
 
@@ -382,13 +383,30 @@ def test_local_search_trace_ends_at_reported_loss():
     assert result.trace[-1][1] == pytest.approx(result.loss, abs=1e-12)
 
 
+# The best tensor, before corner rounding, of a 4 x 1,000 anneal of the
+# 0.8/0.2 problem at m = 4 (seed 2147313315) under the former draws: a
+# closed class {1, 2} and a nearly closed transient pair {0, 3}.  Entries
+# by (memory, signal, successor); the rest are zero.
+TRANSIENT_TENSOR = {
+    (0, 0, 0): "0x1.0000000000000p+0",
+    (0, 1, 3): "0x1.0000000000000p+0",
+    (1, 0, 2): "0x1.fffffffffffffp-1",
+    (1, 1, 1): "0x1.0000000000000p+0",
+    (2, 0, 2): "0x1.fffffffffffffp-1",
+    (2, 1, 1): "0x1.0000000000000p+0",
+    (3, 0, 3): "0x1.fffffffffffffp-1",
+    (3, 1, 1): "0x1.82c11ab6b8090p-15",
+    (3, 1, 3): "0x1.fff9f4fb95251p-1",
+}
+
+
 def test_local_search_prices_a_chain_with_transient_states():
-    """The best tensor of this run has one closed class, {1, 2}, and a nearly
-    closed transient pair {0, 3}; solving for absorption into that single
-    class used to fail its sum check."""
-    prob = uniform_problem(BINARY)
-    config = SearchConfig(m_size=4, restarts=4, iterations=1000, seed=2147313315)
-    result = local_search(prob, config)
+    """Solving for absorption into the single closed class used to fail its
+    sum check."""
+    tensor = np.zeros((4, 2, 4))
+    for cell, value in TRANSIENT_TENSOR.items():
+        tensor[cell] = float.fromhex(value)
+    result = search._exact_result(uniform_problem(BINARY), tensor, trace=())
     assert result.loss == pytest.approx(0.2, abs=1e-9)
 
 
@@ -408,6 +426,20 @@ def test_lockstep_annealer_matches_sequential_restarts_on_the_study(m_size):
     assert_same_search(local_search(prob, config), oracles.sequential_anneal(prob, config))
 
 
+def example_search(seed, m_size, restarts, iterations, step_scale, cooling=0.995):
+    return example(
+        seed=seed,
+        n=2,
+        alphabet=2,
+        m_size=m_size,
+        restarts=restarts,
+        iterations=iterations,
+        step_scale=step_scale,
+        cooling=cooling,
+        dead_signal=False,
+    )
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     seed=st.integers(min_value=0, max_value=2**32 - 1),
@@ -416,15 +448,21 @@ def test_lockstep_annealer_matches_sequential_restarts_on_the_study(m_size):
     m_size=st.integers(min_value=1, max_value=5),
     restarts=st.integers(min_value=1, max_value=6),
     iterations=st.integers(min_value=1, max_value=300),
-    step_scale=st.sampled_from([0.01, 0.25, 1.0]),
+    step_scale=st.sampled_from([0.01, 0.25, 1.0, 50.0]),
     cooling=st.sampled_from([0.5, 0.995]),
     dead_signal=st.booleans(),
 )
+@example_search(seed=5, m_size=1, restarts=3, iterations=300, step_scale=0.25)
+@example_search(seed=6, m_size=1, restarts=1, iterations=1, step_scale=50.0, cooling=0.5)
+@example_search(seed=7, m_size=3, restarts=4, iterations=300, step_scale=50.0)
+@example_search(seed=8, m_size=5, restarts=2, iterations=300, step_scale=50.0, cooling=0.5)
 def test_lockstep_annealer_matches_sequential_restarts(
     seed, n, alphabet, m_size, restarts, iterations, step_scale, cooling, dead_signal
 ):
     """Bolder steps and faster cooling reach corners, where solves go singular;
-    a signal no world emits gives every kernel a dead column of inputs."""
+    a signal no world emits gives every kernel a dead column of inputs.  At a
+    step of 50 every concentration is below 0.1, where gamma draws can all
+    underflow; at m = 1 a row can move only by rounding."""
     rng = np.random.default_rng(seed)
     mass = rng.uniform(0.1, 1.0, size=(n, alphabet))
     if dead_signal:
@@ -444,6 +482,51 @@ def test_lockstep_annealer_matches_sequential_restarts(
         seed=seed,
     )
     assert_same_search(local_search(prob, config), oracles.sequential_anneal(prob, config))
+
+
+def test_a_row_whose_gamma_draws_all_underflow_is_drawn_from_the_dirichlet():
+    """At concentrations near 2e-6 nearly every gamma draw underflows to zero,
+    so nearly every proposal takes the fallback draw; none may be NaN."""
+    prob = uniform_problem(BINARY)
+    config = SearchConfig(m_size=3, restarts=3, iterations=300, step_scale=1e6, seed=4)
+    alpha = np.full(3, 1 / 3 / config.step_scale + search._ALPHA_FLOOR)
+    assert not np.random.default_rng(0).standard_gamma(alpha).any()
+    result = local_search(prob, config)
+    assert np.isfinite(result.loss)
+    assert_same_search(result, oracles.sequential_anneal(prob, config))
+
+
+def test_restarts_walk_the_same_whatever_runs_beside_them():
+    """The first R restarts' trace entries are the same with R + 2 restarts."""
+    prob = uniform_problem(BINARY)
+    for m_size, restarts in [(2, 1), (3, 2), (4, 3)]:
+        few = SearchConfig(m_size=m_size, restarts=restarts, iterations=600, seed=9)
+        more = dataclasses.replace(few, restarts=restarts + 2)
+        # the last entry may be the rounding pass's
+        head = local_search(prob, few).trace[:-1]
+        assert len(head) >= 2
+        assert local_search(prob, more).trace[: len(head)] == head
+
+
+def test_pre_drawn_randomness_does_not_grow_with_iterations():
+    prob = uniform_problem(BINARY)
+    local_search(prob, SearchConfig(m_size=2, restarts=1, iterations=10, seed=0))  # warm up
+    peaks = []
+    for iterations in (1_000, 10_000):
+        tracemalloc.start()
+        local_search(prob, SearchConfig(m_size=2, restarts=1, iterations=iterations, seed=3))
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+    assert peaks[1] <= 1.5 * peaks[0]
+
+
+def test_a_temperature_that_underflows_to_zero_rejects_every_worse_proposal():
+    """0.1 * 0.5**it reaches 0.0 at it = 1,072, where the loop used to divide by zero."""
+    prob = uniform_problem(BINARY)
+    config = SearchConfig(m_size=3, restarts=2, iterations=1500, cooling=0.5, seed=1)
+    result = local_search(prob, config)
+    assert np.isfinite(result.loss)
+    assert_same_search(result, oracles.sequential_anneal(prob, config))
 
 
 def test_a_singular_proposal_scores_inf_for_its_own_restart_only():
