@@ -1,4 +1,4 @@
-"""Time the memory-budget study's anneals and count the steps that skip the solve.
+"""Time the memory-budget study's anneals and count their solves and gamma calls.
 
 Each anneal is ``famlearn.local_search`` on the 0.8/0.2 binary problem with
 uniform prior and utilities, at memory sizes ``--sizes``, with ``--restarts``
@@ -6,8 +6,10 @@ restarts of ``--iterations`` proposals each and seed ``--seed``: by default
 the six anneals of the ``search`` bench workload.  A step where no
 restart's proposed row moves prices nothing; the share of such steps is
 counted on one run that counts the calls of ``search._fast_loss`` (one
-prices the starting tensors).  Each time is the median over ``--repeats``
-uncounted runs.
+prices the starting tensors).  The same run counts each restart's
+``standard_gamma`` calls: one per window of steps, and more where a
+restart accepts a row the rest of its window reads again.  Each time is
+the median over ``--repeats`` uncounted runs.
 
 Usage:
     OPENBLAS_NUM_THREADS=1 python3 scripts/anneal_scaling.py [--sizes 1 2 3 4 5 6]
@@ -15,7 +17,7 @@ Usage:
 
 Output: one JSON line, ``{"restarts": 4, "iterations": 1000, "seed": 11,
 "ms": {"1": ..., ...}, "us_per_proposal": {...}, "skipped": {...},
-"loss": {...}}``, keyed by memory size.
+"gamma_calls_per_restart": {...}, "loss": {...}}``, keyed by memory size.
 """
 
 import argparse
@@ -29,21 +31,38 @@ from famlearn import SearchConfig, SignalModel, local_search, search, uniform_pr
 MODEL = SignalModel.from_rows([[0.8, 0.2], [0.2, 0.8]])
 
 
-def skipped_share(problem, config) -> tuple[float, float]:
-    """Share of steps that priced nothing, and the loss, from one counted run."""
-    calls = []
-    fast_loss = search._fast_loss
+class CountedGenerator:
+    """A generator that counts its ``standard_gamma`` calls in ``calls``."""
+
+    def __init__(self, rng, calls):
+        self.rng, self.calls = rng, calls
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
+
+    def standard_gamma(self, *args, **kwargs):
+        self.calls.append(None)
+        return self.rng.standard_gamma(*args, **kwargs)
+
+
+def counted_run(problem, config) -> tuple[float, float, float]:
+    """Share of steps that priced nothing, gamma calls per restart, and the
+    loss, from one counted run."""
+    solves, gammas = [], []
+    fast_loss, default_rng = search._fast_loss, np.random.default_rng
 
     def counted(*args):
-        calls.append(None)
+        solves.append(None)
         return fast_loss(*args)
 
     search._fast_loss = counted
+    np.random.default_rng = lambda seed: CountedGenerator(default_rng(seed), gammas)
     try:
         loss = local_search(problem, config).loss
     finally:
-        search._fast_loss = fast_loss
-    return round(1.0 - (len(calls) - 1) / config.iterations, 4), loss
+        search._fast_loss, np.random.default_rng = fast_loss, default_rng
+    skipped = round(1.0 - (len(solves) - 1) / config.iterations, 4)
+    return skipped, len(gammas) / config.restarts, loss
 
 
 def main() -> None:
@@ -56,12 +75,12 @@ def main() -> None:
     args = parser.parse_args()
     problem = uniform_problem(MODEL)
     report = {"restarts": args.restarts, "iterations": args.iterations, "seed": args.seed}
-    ms, per_proposal, skipped, losses = {}, {}, {}, {}
+    ms, per_proposal, skipped, gamma_calls, losses = {}, {}, {}, {}, {}
     for m in args.sizes:
         config = SearchConfig(
             m_size=m, restarts=args.restarts, iterations=args.iterations, seed=args.seed
         )
-        skipped[m], losses[m] = skipped_share(problem, config)
+        skipped[m], gamma_calls[m], losses[m] = counted_run(problem, config)
         times = []
         for _ in range(args.repeats):
             start = time.perf_counter()
@@ -69,7 +88,13 @@ def main() -> None:
             times.append(time.perf_counter() - start)
         ms[m] = round(1e3 * float(np.median(times)), 2)
         per_proposal[m] = round(1e3 * ms[m] / (args.restarts * args.iterations), 2)
-    report.update(ms=ms, us_per_proposal=per_proposal, skipped=skipped, loss=losses)
+    report.update(
+        ms=ms,
+        us_per_proposal=per_proposal,
+        skipped=skipped,
+        gamma_calls_per_restart=gamma_calls,
+        loss=losses,
+    )
     print(json.dumps(report))
 
 

@@ -10,10 +10,10 @@ be attained, so nothing here ever claims it.  Instead:
 * :func:`local_search` runs restarted simulated annealing over the full
   stochastic class, reporting the best loss found and an improvement
   trace; its restarts advance in lockstep, each on its own spawned RNG
-  stream (one gamma draw per proposal, the rest drawn in chunks), with
-  one batched solve per step pricing every restart's proposal and no
-  solve when no proposal moves, and the result equals running them one
-  after another;
+  stream (a window of proposals per gamma call, the rest drawn in
+  chunks), with one batched solve pricing every restart's proposal at
+  each step where some proposal moves and none elsewhere, and the result
+  equals running them one after another;
 * :func:`epsilon_gap` turns a reference loss (enumeration, a closed
   form, or a bound) into the certified suboptimality of a result.
 
@@ -49,11 +49,12 @@ class SearchConfig:
     floor), so larger ``step_scale`` means bolder moves; because the
     Dirichlet piles mass on faces when a row is already extreme, the walk
     can approach the deterministic corners where optima often sit.  A row
-    on a corner is mostly proposed back onto that corner, and such a step
-    costs no solve.  ``restarts`` independent walks of ``iterations``
-    proposals each run from ``seed``; a restart's walk does not depend on
-    how many restarts run.  The temperature starts at
-    ``initial_temperature`` and is multiplied by ``cooling`` every step.
+    on a corner is mostly proposed back onto that corner; proposals are
+    drawn a window of steps at a time, and a step where no restart's row
+    moves costs no solve and no loop iteration.  ``restarts`` independent
+    walks of ``iterations`` proposals each run from ``seed``; a restart's
+    walk does not depend on how many restarts run.  The temperature starts
+    at ``initial_temperature`` and is multiplied by ``cooling`` every step.
     """
 
     m_size: int
@@ -302,6 +303,29 @@ def _fast_loss(problem: Problem, transitions: np.ndarray, stakes, eye, unit) -> 
 _ALPHA_FLOOR = 1e-6
 #: Steps whose row cells and acceptance uniforms a restart draws at once.
 _CHUNK = 256
+#: Steps of a chunk whose gamma draws a restart makes in one call.
+_WINDOW = 32
+
+
+def _draw_rows(rng, state, alpha: np.ndarray) -> np.ndarray:
+    """Proposal rows for consecutive steps, drawn as one call per step would.
+
+    ``rng`` sits at ``state`` and ``alpha`` is ``(steps, m)``.  One
+    ``standard_gamma`` call fills the block in C order, so it equals a call
+    per row; each row is divided by its sum.  When some row's gamma draws
+    all underflow, the generator goes back to ``state`` and the block is
+    drawn again a row at a time, each such row with ``dirichlet`` instead.
+    """
+    gamma = rng.standard_gamma(alpha)
+    total = gamma.sum(axis=1)
+    if not total.all():
+        rng.bit_generator.state = state
+        for j, a in enumerate(alpha):
+            gamma[j] = rng.standard_gamma(a)
+            total[j] = gamma[j].sum()
+            if total[j] == 0.0:
+                gamma[j], total[j] = rng.dirichlet(a), 1.0
+    return gamma / total[:, None]
 
 
 def local_search(problem: Problem, config: SearchConfig) -> SearchResult:
@@ -311,22 +335,29 @@ def local_search(problem: Problem, config: SearchConfig) -> SearchResult:
     centered on its current value, and the decision rule is re-optimized
     inside every evaluation.  Every restart draws from its own spawned RNG
     stream: every ``_CHUNK`` steps, that chunk's row cells and then its
-    acceptance uniforms, and at every step one ``standard_gamma`` call
-    over the row's concentrations, divided by its sum (or, when every
-    gamma draw underflows to zero, one ``dirichlet`` call).  So a
-    restart's walk does not depend on how many restarts run.  The
-    restarts advance in lockstep: one batched :func:`_fast_loss` prices
-    every restart's proposal per step, and acceptance and best-tracking
-    are array operations over the restarts.  A step where no restart's
-    proposed row differs from its current row skips the solve, since the
-    same tensors price to the same losses.  The answer is a pure function
-    of the config and equals running the restarts one after another; the
-    winner is the lowest loss with ties going to the earlier restart, and
-    the trace numbers restart ``r``'s iteration ``it`` as
-    ``r * iterations + it``.  A final rounding pass prices the
-    deterministic table nearest the best tensor and keeps it when it does
-    at least as well — optima frequently sit exactly on those corners,
-    which a stochastic walk only approaches.
+    acceptance uniforms, and at every step the row's gamma draws over its
+    concentrations, divided by their sum (or, when every gamma draw
+    underflows to zero, one ``dirichlet`` call).  So a restart's walk does
+    not depend on how many restarts run.  The gamma draws of ``_WINDOW``
+    steps come from one ``standard_gamma`` call, over the concentrations
+    at the window's start; numpy fills the block in C order, so these are
+    the draws of one call per step while the tensor stays unchanged.  When
+    a restart accepts a new row that a later step of the window reads, its
+    generator goes back to the last state it saved, replays its draws up
+    to that later step, saves the state there and draws the rest afresh.
+    The restarts advance in lockstep, and the loop visits only the steps
+    where some restart's proposed row differs from its current row, since
+    the same tensors price to the same losses.  At each, one batched
+    :func:`_fast_loss` prices every restart's proposal, and acceptance and
+    best-tracking are array operations over the restarts.  The answer is a
+    pure function of the config and equals running the restarts one after
+    another; the winner is the lowest loss with ties going to the earlier
+    restart, and the trace numbers restart ``r``'s iteration ``it`` as
+    ``r * (iterations + 1) + it`` and the rounding pass as
+    ``restarts * (iterations + 1)``, so its numbers strictly increase.  A
+    final rounding pass prices the deterministic table nearest the best
+    tensor and keeps it when it does at least as well — optima frequently
+    sit exactly on those corners, which a stochastic walk only approaches.
     """
     m, n, k = config.m_size, problem.n_states, problem.model.alphabet_size
     stakes = problem.stakes
@@ -352,43 +383,70 @@ def local_search(problem: Problem, config: SearchConfig) -> SearchResult:
 
     record(0)
     rows = current.reshape(-1, m)  # a view: row r * m * k + cell is restart r's cell
-    gamma = np.empty((config.restarts, m))
     temperature = config.initial_temperature
-    for it in range(1, config.iterations + 1):
-        temperature *= config.cooling
-        step = (it - 1) % _CHUNK
-        if step == 0:
-            cells = np.stack([rng.integers(m * k, size=_CHUNK) for rng in rngs], axis=1)
-            cells += restart * (m * k)
-            uniforms = np.stack([rng.random(_CHUNK) for rng in rngs], axis=1)
-        cell = cells[step]
-        old = rows[cell]
-        alpha = old / config.step_scale + _ALPHA_FLOOR
-        for rng, a, out in zip(rngs, alpha, gamma):
-            rng.standard_gamma(a, out=out)
-        total = gamma.sum(axis=1)
-        if not total.all():  # every gamma draw of a row underflowed
-            for r in np.flatnonzero(total == 0.0):
-                gamma[r], total[r] = rngs[r].dirichlet(alpha[r]), 1.0
-        row = gamma / total[:, None]
-        if (row == old).all():
-            continue  # the same tensors price to the same losses
-        proposal = current.copy()
-        proposal.reshape(-1, m)[cell] = row
-        proposal_loss = _fast_loss(problem, proposal, stakes, eye, unit)
-        # inf - inf, a zero temperature and exp of a gain are all decided
-        # by the comparisons alone
-        with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-            delta = proposal_loss - current_loss
-            accept = (delta <= 0.0) | (uniforms[step] < np.exp(-delta / temperature))
-        current[accept] = proposal[accept]
-        current_loss[accept] = proposal_loss[accept]
-        record(it)
+    for start in range(0, config.iterations, _CHUNK):
+        size = min(_CHUNK, config.iterations - start)
+        cells = np.stack([rng.integers(m * k, size=_CHUNK) for rng in rngs])[:, :size]
+        cells += restart[:, None] * (m * k)
+        uniforms = np.stack([rng.random(_CHUNK) for rng in rngs])
+        temperatures = np.multiply.accumulate(np.append(temperature, [config.cooling] * size))
+        temperature = temperatures[-1]
+        for lo in range(0, size, _WINDOW):
+            window = cells[:, lo : lo + _WINDOW]  # (restarts, steps) row indices
+            old = rows[window]
+            alpha = old / config.step_scale + _ALPHA_FLOOR
+            states = [rng.bit_generator.state for rng in rngs]
+            drawn = np.stack([_draw_rows(*args) for args in zip(rngs, states, alpha)])
+            moved = (drawn != old).any(axis=2)
+            saved_at = np.zeros(config.restarts, dtype=np.int64)  # the step `states` precede
+            width = window.shape[1]
+            stale = np.full(config.restarts, width)  # first step drawn from an old row
+            t = -1
+            while True:
+                ahead = moved[:, t + 1 :].any(axis=0).nonzero()[0]
+                until = t + 1 + ahead[0] if ahead.size else width - 1
+                late = (stale <= until).nonzero()[0]
+                # A restart that accepted a row a later step of the window
+                # reads drew that step and the rest from stale
+                # concentrations.  When the walk reaches that step, nothing
+                # before it can change any more: replay the restart's draws
+                # up to it, save the state there and draw the rest afresh.
+                for r in late:
+                    rng, fresh = rngs[r], stale[r]
+                    rng.bit_generator.state = states[r]
+                    _draw_rows(rng, states[r], alpha[r, saved_at[r] : fresh])
+                    states[r], saved_at[r], stale[r] = rng.bit_generator.state, fresh, width
+                    now = rows[window[r, fresh:]]
+                    alpha[r, fresh:] = now / config.step_scale + _ALPHA_FLOOR
+                    drawn[r, fresh:] = _draw_rows(rng, states[r], alpha[r, fresh:])
+                    moved[r, fresh:] = (drawn[r, fresh:] != now).any(axis=1)
+                if late.size:
+                    continue
+                if not ahead.size:
+                    break
+                t = until  # the next step where some restart's row moves
+                cell = window[:, t]
+                proposal = current.copy()
+                proposal.reshape(-1, m)[cell] = drawn[:, t]
+                proposal_loss = _fast_loss(problem, proposal, stakes, eye, unit)
+                # inf - inf, a zero temperature and exp of a gain are all
+                # decided by the comparisons alone
+                with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+                    delta = proposal_loss - current_loss
+                    hot = np.exp(-delta / temperatures[lo + t + 1])
+                    accept = (delta <= 0.0) | (uniforms[:, lo + t] < hot)
+                current[accept] = proposal[accept]
+                current_loss[accept] = proposal_loss[accept]
+                record(start + lo + t + 1)
+                reread = window[:, t + 1 :] == cell[:, None]
+                changed = accept & moved[:, t] & reread.any(axis=1)
+                if changed.any():
+                    stale[changed] = np.minimum(stale, t + 1 + reread.argmax(axis=1))[changed]
 
     # Replay the restarts in order: an improvement counts only when it
     # beats every earlier restart too, as it would have run alone.
     steps = np.array([it for it, _ in events], dtype=np.int64)
-    iterations = (steps + config.iterations * restart[:, None]).ravel()
+    iterations = (steps + (config.iterations + 1) * restart[:, None]).ravel()
     bests = np.array([loss for _, loss in events]).reshape(len(events), config.restarts)
     losses = bests.T.ravel()
     keep = losses < np.minimum.accumulate(np.append(math.inf, losses))[:-1]
@@ -405,6 +463,6 @@ def local_search(problem: Problem, config: SearchConfig) -> SearchResult:
     if trace and result.loss <= trace[-1][1]:
         result = replace(
             result,
-            trace=tuple(trace) + ((config.restarts * config.iterations, result.loss),),
+            trace=tuple(trace) + ((config.restarts * (config.iterations + 1), result.loss),),
         )
     return result

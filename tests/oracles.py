@@ -9,8 +9,9 @@ generic numeric optimizer.  The exceptions are former
 loops kept as references for their faster replacements, which must match
 them bit for bit: :func:`sequential_anneal`, the annealer's
 restart-by-restart loop, shares the package's pricing and exact
-re-solve, because only the order of the walk and the skip of a step
-that moves nothing changed; and
+re-solve, because only the order of the walk, the skip of a step that
+moves nothing and the drawing of a window of steps per gamma call
+changed; and
 :func:`sequential_monte_carlo` is the Monte Carlo walk's per-row set-up
 and loop.
 Expected values in the test modules were produced by these functions
@@ -363,8 +364,9 @@ def sequential_anneal(problem, config):
     acceptance uniforms, and at every step one ``standard_gamma`` call
     divided by its sum, or one ``dirichlet`` call when every gamma draw
     underflows.  Every proposal is priced alone, with no skip for a row
-    that did not move; the lockstep annealer must return this result bit
-    for bit.
+    that did not move.  The trace numbers restart ``r``'s step ``it`` as
+    ``r * (iterations + 1) + it``.  The lockstep annealer must return
+    this result bit for bit.
     """
     m, n, k = config.m_size, problem.n_states, problem.model.alphabet_size
     stakes = problem.stakes
@@ -383,7 +385,7 @@ def sequential_anneal(problem, config):
         if current_loss < best_loss:
             best_loss = current_loss
             best_transition = current.copy()
-            events.append((restart * config.iterations, best_loss))
+            events.append((restart * (config.iterations + 1), best_loss))
         temperature = config.initial_temperature
         for it in range(1, config.iterations + 1):
             temperature *= config.cooling
@@ -406,7 +408,7 @@ def sequential_anneal(problem, config):
             if current_loss < best_loss:
                 best_loss = current_loss
                 best_transition = current.copy()
-                events.append((restart * config.iterations + it, best_loss))
+                events.append((restart * (config.iterations + 1) + it, best_loss))
 
     result = _exact_result(problem, best_transition, trace=events)
     corners = np.zeros_like(best_transition)
@@ -417,7 +419,7 @@ def sequential_anneal(problem, config):
     if events and result.loss <= events[-1][1]:
         result = replace(
             result,
-            trace=tuple(events) + ((config.restarts * config.iterations, result.loss),),
+            trace=tuple(events) + ((config.restarts * (config.iterations + 1), result.loss),),
         )
     return result
 

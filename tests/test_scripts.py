@@ -80,5 +80,6 @@ def test_anneal_script_times_the_study_and_counts_skipped_steps():
     report = json.loads(done.stdout.splitlines()[-1])
     assert set(report["ms"]) == set(report["us_per_proposal"]) == {"1", "3"}
     assert report["skipped"]["1"] == 1.0  # a one-state row never moves
+    assert report["gamma_calls_per_restart"]["1"] == 2  # two windows of 60 steps
     assert 0.0 <= report["skipped"]["3"] < 1.0
     assert report["loss"]["1"] == pytest.approx(0.5, abs=1e-12)

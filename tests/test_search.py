@@ -1,6 +1,7 @@
 """Exhaustive and annealed mechanism search."""
 
 import dataclasses
+import math
 import tracemalloc
 import warnings
 from itertools import product
@@ -456,13 +457,21 @@ def example_search(seed, m_size, restarts, iterations, step_scale, cooling=0.995
 @example_search(seed=6, m_size=1, restarts=1, iterations=1, step_scale=50.0, cooling=0.5)
 @example_search(seed=7, m_size=3, restarts=4, iterations=300, step_scale=50.0)
 @example_search(seed=8, m_size=5, restarts=2, iterations=300, step_scale=50.0, cooling=0.5)
+@example_search(seed=9, m_size=3, restarts=4, iterations=search._WINDOW - 1, step_scale=0.25)
+@example_search(seed=10, m_size=3, restarts=4, iterations=search._WINDOW, step_scale=0.25)
+@example_search(seed=11, m_size=4, restarts=3, iterations=search._WINDOW + 1, step_scale=0.25)
+@example_search(seed=12, m_size=3, restarts=4, iterations=search._CHUNK + 1, step_scale=0.25)
+@example_search(seed=13, m_size=4, restarts=4, iterations=300, step_scale=1e6)
 def test_lockstep_annealer_matches_sequential_restarts(
     seed, n, alphabet, m_size, restarts, iterations, step_scale, cooling, dead_signal
 ):
     """Bolder steps and faster cooling reach corners, where solves go singular;
     a signal no world emits gives every kernel a dead column of inputs.  At a
     step of 50 every concentration is below 0.1, where gamma draws can all
-    underflow; at m = 1 a row can move only by rounding."""
+    underflow; at m = 1 a row can move only by rounding.  The examples at a
+    window's and a chunk's edges accept rows that a later step of the same
+    window reads, so their draws are replayed; at a step of 1e6 nearly every
+    row's gamma draws underflow, inside the replayed steps too."""
     rng = np.random.default_rng(seed)
     mass = rng.uniform(0.1, 1.0, size=(n, alphabet))
     if dead_signal:
@@ -494,6 +503,40 @@ def test_a_row_whose_gamma_draws_all_underflow_is_drawn_from_the_dirichlet():
     result = local_search(prob, config)
     assert np.isfinite(result.loss)
     assert_same_search(result, oracles.sequential_anneal(prob, config))
+
+
+def test_trace_iterations_strictly_increase_across_restarts():
+    """Restart r's step it is r * (iterations + 1) + it, so a restart's last
+    step, the next one's start and the rounding pass never share a number."""
+    prob = uniform_problem(BINARY)
+    config = SearchConfig(m_size=3, restarts=6, iterations=2, seed=0)
+    iterations = [it for it, _ in local_search(prob, config).trace]
+    assert len(iterations) >= 3
+    assert all(a < b for a, b in zip(iterations, iterations[1:]))
+    assert iterations[-1] <= config.restarts * (config.iterations + 1)
+
+
+def test_a_step_that_moves_nothing_makes_no_generator_call(monkeypatch):
+    """At m = 1 no row ever moves, so each restart makes one standard_gamma
+    call per window of steps, not one per step."""
+    calls = []
+
+    class Counted:
+        def __init__(self, rng):
+            self.rng = rng
+
+        def __getattr__(self, name):
+            return getattr(self.rng, name)
+
+        def standard_gamma(self, *args, **kwargs):
+            calls.append(None)
+            return self.rng.standard_gamma(*args, **kwargs)
+
+    default_rng = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: Counted(default_rng(seed)))
+    config = SearchConfig(m_size=1, restarts=4, iterations=1_000, seed=11)
+    assert local_search(uniform_problem(BINARY), config).loss == pytest.approx(0.5)
+    assert 0 < len(calls) <= config.restarts * math.ceil(config.iterations / search._WINDOW)
 
 
 def test_restarts_walk_the_same_whatever_runs_beside_them():
