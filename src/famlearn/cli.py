@@ -8,12 +8,16 @@ outputs are written atomically and deterministically (JSON compactly, on
 one line, keys sorted), so rerunning a spec reproduces them byte for byte.
 
 Exit codes: 0 on success, 1 when the mathematics rejects the request
-(domain errors such as invalid models, unsatisfiable drift conditions,
-or blown enumeration budgets), 2 for usage and I/O problems (bad flags,
-missing or malformed files, unknown names).
+(invalid models, out-of-range values, unsatisfiable drift conditions,
+blown enumeration budgets), 2 for usage and I/O problems (bad flags,
+missing or malformed files).
 
-The spec format is documented in ``schemas/experiment_spec.schema.json``
-inside the installed package; output schemas sit alongside it.
+The spec, and each model or mechanism file it references, is checked
+against ``schemas/experiment_spec.schema.json`` in the installed package
+(output schemas sit alongside it): a wrong JSON type or a missing or
+unknown key or name exits 2, naming its path, as in ``problem.prior[1]``.
+Numeric bounds are the library's and exit 1, save ``varsigma``'s (finite,
+at least 0), the one range check that exits 2.
 """
 
 from __future__ import annotations
@@ -30,12 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .automata import (
-    BLUEPRINT_FAMILIES,
-    MechanismBlueprint,
-    UpdatingMechanism,
-    build_from_blueprint,
-)
+from .automata import MechanismBlueprint, UpdatingMechanism, build_from_blueprint
 from .chain import Problem, _price, disagreement_probability, occupancy_profile
 from .diagnostics import (
     diagnostics_report,
@@ -53,75 +52,103 @@ from .search import (
 )
 from .signals import SignalModel, validate
 
-COMMANDS = ("validate", "eval", "sweep", "disagree", "closed-forms", "search")
-#: The parameters each closed form reads from the spec's closed_form section.
-CLOSED_FORM_KEYS = {
-    "pair_commitment": ("nu", "tau", "ups"),
-    "symmetric": ("n", "info"),
-    "star": ("lam", "delta", "w"),
+#: Spec definitions whose nodes are checked once more, against the definition
+#: ``<name>_<tag>`` that a tag picks: a blueprint's family, a closed form's name.
+_PICKS = {"blueprint": "family", "closed_form": "name"}
+#: JSON type -> the Python types that hold it, and its name in an error
+_TYPES = {
+    "object": (dict, "an object"),
+    "array": (list, "a list"),
+    "string": (str, "a string"),
+    "number": ((int, float), "a number"),
+    "integer": ((int, float), "an integer"),
 }
-#: Blueprint parameters that take only integral values.
-INTEGRAL_PARAMS = ("lam", "m_size", "n")
 
 
 class SpecFormatError(Exception):
     """The experiment spec (or a file it references) is unusable."""
 
 
-def _parse(kind, obj: dict, where: str):
-    """``kind.from_json(obj)``, with a missing key reported as a spec error."""
-    try:
-        return kind.from_json(obj)
-    except KeyError as exc:
-        raise SpecFormatError(f"{where} has no key {exc.args[0]!r}") from None
+@functools.cache
+def _schema() -> dict:
+    path = Path(__file__).parent / "schemas" / "experiment_spec.schema.json"
+    return json.loads(path.read_text())
 
 
-def _number(value, name: str, integral: bool = False):
-    """A number from the spec, refusing any other JSON type instead of coercing it.
+def _fits(value, kind: str) -> bool:
+    """Is ``value`` of JSON type ``kind``?  As in JSON Schema, ``true`` is not a
+    number and ``2.0`` is an integer."""
+    if isinstance(value, bool) or not isinstance(value, _TYPES[kind][0]):
+        return False
+    return kind != "integer" or isinstance(value, int) or value.is_integer()
 
-    ``true`` is not a number, and an integral knob takes only integral
-    values (``2.0`` is read as 2).
+
+def _violation(value, schema: dict):
+    """The first way ``value`` breaks ``schema``, or ``None`` if it fits.
+
+    Reads the subset of JSON Schema draft-07 the spec schema uses, leaving
+    numeric bounds to the library; a wrong type is named by the node's
+    ``title``, if it has one.  A violation is ``(keys, message)``, with the
+    path's keys and indices innermost first, so a path is built only for a
+    value that fails.
     """
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise SpecFormatError(f"{name} must be a number, got {json.dumps(value)}")
-    if not integral:
-        return float(value)
-    if isinstance(value, float) and not value.is_integer():
-        raise SpecFormatError(f"{name} must be an integer, got {value!r}")
-    return int(value)
+    if "$ref" in schema:
+        name = schema["$ref"].rpartition("/")[2]
+        found = _violation(value, _schema()["definitions"][name])
+        if found or name not in _PICKS:
+            return found
+        # Params that are not an object leave the family's definition nothing
+        # to check: the fault is the blueprint's.
+        if name == "blueprint" and not isinstance(value["params"], dict):
+            return [], "must be an object, with an object of params"
+        return _violation(value, _schema()["definitions"][f"{name}_{value[_PICKS[name]]}"])
+    kind = schema.get("type")
+    if kind is not None and not _fits(value, kind):
+        if kind == "integer" and not _fits(value, "number"):
+            kind = "number"
+        return [], f"must be {schema.get('title', _TYPES[kind][1])}, got {json.dumps(value)}"
+    if "enum" in schema and value not in schema["enum"]:
+        return [], f"must be one of {', '.join(schema['enum'])}, got {json.dumps(value)}"
+    if isinstance(value, dict):
+        for key in schema.get("required", ()):
+            if key not in value:
+                return [], f"has no key {key!r}"
+        properties = schema.get("properties", {})
+        for key, item in value.items():
+            if key in properties:
+                found = _violation(item, properties[key])
+                if found:
+                    found[0].append(key)
+                    return found
+            elif schema.get("additionalProperties") is False:
+                return [], f"has an unknown key {key!r}"
+    elif isinstance(value, list):
+        if len(value) < schema.get("minItems", 0):
+            return [], f"must have at least {schema['minItems']} entries, got {len(value)}"
+        if len(value) > schema.get("maxItems", len(value)):
+            return [], f"must have at most {schema['maxItems']} entries, got {len(value)}"
+        items = schema.get("items", {})
+        for i, item in enumerate(value):
+            found = _violation(item, items)
+            if found:
+                found[0].append(i)
+                return found
+    return None
 
 
-def _numbers(value, name: str, integral: bool = False):
-    """A list, or a list of lists, of numbers from the spec, each read by :func:`_number`."""
-    if isinstance(value, list):
-        return [_numbers(v, f"{name}[{i}]", integral) for i, v in enumerate(value)]
-    return _number(value, name, integral)
+def _check(value, where: str, definition: str | None = None) -> None:
+    """Refuse ``value`` unless it fits the spec schema or one of its definitions.
 
-
-def _fields(obj, where: str, integral, real=()):
-    """``obj`` with its keys in ``integral`` and ``real`` read by :func:`_numbers`."""
-    if not isinstance(obj, dict):
-        return obj
-    keys = [key for key in (*integral, *real) if key in obj]
-    return {**obj, **{key: _numbers(obj[key], f"{where}.{key}", key in integral) for key in keys}}
-
-
-def _blueprint(obj: dict, where: str) -> MechanismBlueprint:
-    """A blueprint from the spec: a known family, each parameter checked by :func:`_number`."""
-    if not isinstance(obj, dict) or not isinstance(obj.get("params", {}), dict):
-        raise SpecFormatError(f"{where} must be an object, with an object of params")
-    family = obj.get("family")
-    if not isinstance(family, str) or family not in BLUEPRINT_FAMILIES:
-        raise SpecFormatError(
-            f"{where}.family must be one of {', '.join(BLUEPRINT_FAMILIES)}, "
-            f"got {json.dumps(family)}"
-        )
-    blueprint = _parse(MechanismBlueprint, obj, "blueprint")
-    params = {
-        key: _number(value, f"{where}.params.{key}", integral=key in INTEGRAL_PARAMS)
-        for key, value in blueprint.params.items()
-    }
-    return MechanismBlueprint(family=blueprint.family, params=params)
+    The error names the offending node from ``where`` on, as in
+    ``problem.prior[1]`` (the whole spec has no name of its own).
+    """
+    schema = _schema() if definition is None else {"$ref": f"#/definitions/{definition}"}
+    found = _violation(value, schema)
+    if found:
+        keys, message = found
+        for key in reversed(keys):
+            where += f"[{key}]" if isinstance(key, int) else f".{key}" if where else key
+        raise SpecFormatError(f"{where or 'experiment spec'} {message}")
 
 
 def _read_json(path, what: str):
@@ -141,11 +168,14 @@ def _read_json(path, what: str):
 
 
 class ExperimentSpec:
-    """Parsed experiment file plus the directory its references resolve in."""
+    """Parsed experiment file plus the directory its references resolve in.
+
+    The whole spec is checked against the schema here, so the readers below
+    see JSON of the right types, with every required key.
+    """
 
     def __init__(self, raw: dict, base_dir: Path):
-        if not isinstance(raw, dict):
-            raise SpecFormatError("experiment spec must be a JSON object")
+        _check(raw, "")
         self.raw = raw
         self.base_dir = base_dir
 
@@ -153,8 +183,10 @@ class ExperimentSpec:
     def load(cls, path: str) -> "ExperimentSpec":
         return cls(_read_json(path, "spec file"), Path(path).parent)
 
-    def _load_ref(self, name: str) -> dict:
-        return _read_json(self.base_dir / name, "referenced file")
+    def _load_ref(self, name: str, definition: str, where: str):
+        obj = _read_json(self.base_dir / name, "referenced file")
+        _check(obj, where, definition)
+        return obj
 
     def check_command(self, invoked: str) -> None:
         tag = self.raw.get("command")
@@ -167,25 +199,22 @@ class ExperimentSpec:
         if override is not None:
             return override
         if "seed" in self.raw:
-            return _number(self.raw["seed"], "seed", integral=True)
-        section = self.raw.get("search", {})
-        return _number(section.get("seed", 0), "search.seed", integral=True)
+            return int(self.raw["seed"])
+        return int(self.raw.get("search", {}).get("seed", 0))
 
     def search_budget(self) -> int:
-        budget = self.raw.get("search", {}).get("budget", DEFAULT_ENUMERATION_BUDGET)
-        return _number(budget, "search.budget", integral=True)
+        return int(self.raw.get("search", {}).get("budget", DEFAULT_ENUMERATION_BUDGET))
 
     def model_optional(self) -> SignalModel | None:
-        section = self.raw.get("problem", self.raw)
+        section = self.raw.get("problem", {})
         if "model_file" in section:
             name = section["model_file"]
-            obj, where = self._load_ref(name), f"model file {name}"
-        elif "model" in section:
-            obj, where = section["model"], "problem.model"
-        else:
-            return None
-        obj = _fields(obj, where, ("states", "alphabet"), ("mass",))
-        return _parse(SignalModel, obj, where)
+            return SignalModel.from_json(
+                self._load_ref(name, "signal_model", f"model file {name}")
+            )
+        if "model" in section:
+            return SignalModel.from_json(section["model"])
+        return None
 
     def model(self) -> SignalModel:
         model = self.model_optional()
@@ -195,16 +224,11 @@ class ExperimentSpec:
 
     def problem_for(self, model: SignalModel) -> Problem:
         section = self.raw.get("problem", {})
-        utilities = section.get("utilities")
-        prior = section.get("prior")
+        n = model.n_states
         return Problem(
             model=model,
-            utilities=np.ones(model.n_states)
-            if utilities is None
-            else _numbers(utilities, "problem.utilities"),
-            prior=np.full(model.n_states, 1.0 / model.n_states)
-            if prior is None
-            else _numbers(prior, "problem.prior"),
+            utilities=section.get("utilities", np.ones(n)),
+            prior=section.get("prior", np.full(n, 1.0 / n)),
         )
 
     def problem(self) -> Problem:
@@ -213,8 +237,13 @@ class ExperimentSpec:
     def mechanism_section(
         self, section: dict, model: SignalModel | None, where: str = "mechanism"
     ):
+        given = [key for key in ("blueprint", "file", "inline") if key in section]
+        if len(given) != 1:
+            raise SpecFormatError(
+                f"{where} needs exactly one of blueprint, file, inline, got {given}"
+            )
         if "blueprint" in section:
-            blueprint = _blueprint(section["blueprint"], f"{where}.blueprint")
+            blueprint = MechanismBlueprint.from_json(section["blueprint"])
             needs_model = blueprint.family in ("line", "star", "noisy_star")
             if needs_model and model is None:
                 raise SpecFormatError(
@@ -223,30 +252,22 @@ class ExperimentSpec:
             mech, built_model = build_from_blueprint(
                 blueprint, model if needs_model else None
             )
-            if model is not None and built_model is not model:
-                if built_model.mass.shape != model.mass.shape or not np.allclose(
-                    built_model.mass, model.mass, atol=1e-12
-                ):
-                    raise SpecFormatError(
-                        "spec model conflicts with the blueprint-generated model"
-                    )
+            if model is not None and built_model is not model and (
+                built_model.mass.shape != model.mass.shape
+                or not np.allclose(built_model.mass, model.mass, atol=1e-12)
+            ):
+                raise SpecFormatError("spec model conflicts with the blueprint-generated model")
             return mech, built_model
         if "file" in section:
             name = section["file"]
-            obj, where = self._load_ref(name), f"{where} file {name}"
-        elif "inline" in section:
-            obj, where = section["inline"], f"{where}.inline"
+            obj = self._load_ref(name, "mechanism_json", f"{where} file {name}")
         else:
-            raise SpecFormatError(
-                "mechanism section needs one of: blueprint, file, inline"
-            )
-        obj = _fields(obj, where, ("m", "initial", "decision"), ("transition",))
-        mech = _parse(UpdatingMechanism, obj, where)
+            obj = section["inline"]
         if model is None:
             raise SpecFormatError(
                 "an explicit mechanism needs problem.model in the spec"
             )
-        return mech, model
+        return UpdatingMechanism.from_json(obj), model
 
     def mechanism(self, model: SignalModel | None):
         section = self.raw.get("mechanism")
@@ -305,7 +326,7 @@ def _fmt(x: float) -> str:
 
 def cmd_validate(spec: ExperimentSpec, out: Path, seed: int, fmt: str) -> int:
     model = spec.model()
-    varsigma = _number(spec.raw.get("varsigma", 0.0), "varsigma")
+    varsigma = float(spec.raw.get("varsigma", 0.0))
     if not 0.0 <= varsigma < np.inf:
         raise SpecFormatError(f"varsigma must be finite and at least 0, got {varsigma!r}")
     report = validate(model, varsigma)
@@ -339,7 +360,7 @@ def cmd_eval(spec: ExperimentSpec, out: Path, seed: int, fmt: str) -> int:
 
 def _sweep_axis(spec: ExperimentSpec):
     section = spec.raw.get("sweep")
-    if not isinstance(section, dict):
+    if section is None:
         raise SpecFormatError("sweep command needs a sweep section")
     axes = [k for k in ("lam", "gamma", "m") if section.get(k)]
     if len(axes) != 1:
@@ -348,14 +369,8 @@ def _sweep_axis(spec: ExperimentSpec):
         )
     axis = axes[0]
     values = section[axis]
-    if not isinstance(values, list):
-        raise SpecFormatError(f"sweep.{axis} must be a list, got {json.dumps(values)}")
-    numbers = [
-        _number(v, f"sweep.{axis}[{i}]", integral=axis != "gamma")
-        for i, v in enumerate(values)
-    ]
-    # A valid gamma is written back as the spec gave it: 0 stays "0".
-    return axis, values if axis == "gamma" else numbers
+    # A gamma is written back as the spec gave it: 0 stays "0"; 2.0 is m = 2.
+    return axis, values if axis == "gamma" else [int(v) for v in values]
 
 
 def cmd_sweep(spec: ExperimentSpec, out: Path, seed: int, fmt: str) -> int:
@@ -370,7 +385,7 @@ def cmd_sweep(spec: ExperimentSpec, out: Path, seed: int, fmt: str) -> int:
         section = spec.raw.get("mechanism", {})
         if "blueprint" not in section:
             raise SpecFormatError(f"a {axis} sweep needs a mechanism blueprint")
-        base = _blueprint(section["blueprint"], "mechanism.blueprint")
+        base = MechanismBlueprint.from_json(section["blueprint"])
         model = spec.model()
         problem = spec.problem()
         for value in values:
@@ -386,15 +401,8 @@ def cmd_sweep(spec: ExperimentSpec, out: Path, seed: int, fmt: str) -> int:
         rows.append((value, float(loss), float(utility)))
     if fmt == "json":
         path = out / "sweep.json"
-        write_json(
-            path,
-            {
-                "axis": axis,
-                "rows": [
-                    {axis: v, "loss": loss, "utility": u} for v, loss, u in rows
-                ],
-            },
-        )
+        table = [{axis: v, "loss": loss, "utility": u} for v, loss, u in rows]
+        write_json(path, {"axis": axis, "rows": table})
     else:
         path = out / "sweep.csv"
         write_csv(path, (axis, "loss", "utility"), rows)
@@ -404,7 +412,7 @@ def cmd_sweep(spec: ExperimentSpec, out: Path, seed: int, fmt: str) -> int:
 
 def cmd_disagree(spec: ExperimentSpec, out: Path, seed: int, fmt: str) -> int:
     agents = spec.raw.get("agents")
-    if not isinstance(agents, list) or len(agents) != 2:
+    if agents is None:
         raise SpecFormatError("disagree needs an agents list with exactly 2 entries")
     model = spec.model_optional()
     mech_a, model_a = spec.mechanism_section(agents[0], model, "agents[0]")
@@ -416,39 +424,30 @@ def cmd_disagree(spec: ExperimentSpec, out: Path, seed: int, fmt: str) -> int:
     problem = spec.problem_for(model)
     per_state = disagreement_probability(problem, mech_a, mech_b)
     overall = float(problem.prior @ per_state)
-    write_json(
-        out / "disagree.json",
-        {"per_state": per_state.tolist(), "overall": overall},
-    )
+    write_json(out / "disagree.json", {"per_state": per_state.tolist(), "overall": overall})
     print(f"disagree: overall={_fmt(overall)} -> {out / 'disagree.json'}")
     return 0
 
 
 def cmd_closed_forms(spec: ExperimentSpec, out: Path, seed: int, fmt: str) -> int:
     section = spec.raw.get("closed_form")
-    if not isinstance(section, dict) or "name" not in section:
+    if section is None:
         raise SpecFormatError("closed-forms needs a closed_form section with a name")
     name = section["name"]
-    if name not in CLOSED_FORM_KEYS:
-        raise SpecFormatError(f"unknown closed form {name!r}")
-    for key in CLOSED_FORM_KEYS[name]:
-        if key not in section:
-            raise SpecFormatError(f"closed form {name!r} has no key {key!r}")
-    num = {
-        key: _number(section[key], f"closed_form.{key}", integral=key in ("lam", "n", "w"))
-        for key in CLOSED_FORM_KEYS[name]
-    }
     if name == "pair_commitment":
-        result = pair_commitment_losses(num["nu"], num["tau"], num["ups"])
+        result = pair_commitment_losses(
+            float(section["nu"]), float(section["tau"]), float(section["ups"])
+        )
         payload = result.to_json()
         csv_rows = sorted(payload["losses"].items())
         header = ("pattern", "loss")
         summary = f"argmin={payload['argmin']}"
     elif name == "symmetric":
-        u_full, u_ignorant, better = symmetric_utilities(num["n"], num["info"])
+        n, info = int(section["n"]), float(section["info"])
+        u_full, u_ignorant, better = symmetric_utilities(n, info)
         payload = {
-            "n": num["n"],
-            "info": num["info"],
+            "n": n,
+            "info": info,
             "u_full": u_full,
             "u_ignorant": u_ignorant,
             "ignorant_better": better,
@@ -461,9 +460,11 @@ def cmd_closed_forms(spec: ExperimentSpec, out: Path, seed: int, fmt: str) -> in
         header = ("quantity", "value")
         summary = f"ignorant_better={better}"
     else:
-        model = spec.model()
-        occ = star_occupancy_closed_form(model, None, num["lam"], num["delta"], num["w"])
-        payload = {"w": num["w"], "occupancy": occ.tolist()}
+        w = int(section["w"])
+        occ = star_occupancy_closed_form(
+            spec.model(), None, int(section["lam"]), float(section["delta"]), w
+        )
+        payload = {"w": w, "occupancy": occ.tolist()}
         csv_rows = list(enumerate(payload["occupancy"]))
         header = ("memory_state", "mass")
         summary = f"states={occ.size}"
@@ -479,44 +480,31 @@ def cmd_closed_forms(spec: ExperimentSpec, out: Path, seed: int, fmt: str) -> in
 
 def cmd_search(spec: ExperimentSpec, out: Path, seed: int, fmt: str) -> int:
     section = spec.raw.get("search")
-    if not isinstance(section, dict) or "m_size" not in section:
+    if section is None:
         raise SpecFormatError("search needs a search section with m_size")
-    m_size = _number(section["m_size"], "search.m_size", integral=True)
+    m_size = int(section["m_size"])
     problem = spec.problem()
     method = section.get("method", "anneal")
     if method == "enumerate":
-        budget = spec.search_budget()
-        result = enumerate_deterministic(problem, m_size, budget=budget)
-    elif method == "anneal":
+        result = enumerate_deterministic(problem, m_size, budget=spec.search_budget())
+    else:
         # Knobs the spec sets take the type of their default; the rest keep it.
         knobs = {
-            f.name: _number(
-                section[f.name], f"search.{f.name}", integral=isinstance(f.default, int)
-            )
+            f.name: type(f.default)(section[f.name])
             for f in fields(SearchConfig)
             if f.name in section and f.name not in ("m_size", "seed")
         }
-        config = SearchConfig(m_size=m_size, seed=seed, **knobs)
-        result = local_search(problem, config)
-    else:
-        raise SpecFormatError(f"unknown search method {method!r}")
+        result = local_search(problem, SearchConfig(m_size=m_size, seed=seed, **knobs))
     if "reference_loss" in section:
-        result = replace(
-            result,
-            epsilon_gap=epsilon_gap(
-                result, _number(section["reference_loss"], "search.reference_loss")
-            ),
-        )
+        gap = epsilon_gap(result, float(section["reference_loss"]))
+        result = replace(result, epsilon_gap=gap)
     write_json(out / "search.json", result.to_json())
     write_csv(
         out / "trace.csv",
         ("iteration", "best_loss"),
         [(int(i), float(x)) for i, x in result.trace],
     )
-    print(
-        f"search: method={method} loss={_fmt(result.loss)} "
-        f"-> {out / 'search.json'}"
-    )
+    print(f"search: method={method} loss={_fmt(result.loss)} -> {out / 'search.json'}")
     return 0
 
 
@@ -529,15 +517,6 @@ HANDLERS = {
     "search": cmd_search,
 }
 
-DEFAULT_FORMATS = {
-    "validate": "json",
-    "eval": "json",
-    "sweep": "csv",
-    "disagree": "json",
-    "closed-forms": "json",
-    "search": "json",
-}
-
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
@@ -546,7 +525,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Evaluate, sweep, and search bounded-memory updating mechanisms.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
+    for name in HANDLERS:
         cmd = sub.add_parser(name, help=f"run the {name} command")
         cmd.add_argument("--spec", required=True, help="experiment spec JSON file")
         cmd.add_argument("--out", default=".", help="output directory")
@@ -564,21 +543,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    fmt = args.format or DEFAULT_FORMATS[args.command]
+    fmt = args.format or ("csv" if args.command == "sweep" else "json")
     try:
         spec = ExperimentSpec.load(args.spec)
         spec.check_command(args.command)
         seed = spec.seed(args.seed)
         return HANDLERS[args.command](spec, Path(args.out), seed, fmt)
-    except SpecFormatError as exc:
+    except (SpecFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (DomainError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

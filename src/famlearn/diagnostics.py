@@ -16,6 +16,7 @@ designs in the vanishing-step limit.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -28,7 +29,9 @@ from .automata import (
 )
 from .chain import Problem, StationaryProfile
 from .errors import DomainError
-from .signals import Lottery, SignalModel, confirmatory_lotteries, sup_likelihood_ratio
+from .signals import (
+    Lottery, SignalModel, _sup_ratios, confirmatory_lotteries, sup_likelihood_ratio
+)
 
 #: Occupancy mass below which an action counts as abandoned.
 IGNORANCE_TOL = 1e-9
@@ -91,8 +94,12 @@ def spread_upper_bound(model: SignalModel, m_size: int, w: int, w2: int) -> floa
         raise ValueError("spread bound needs two distinct states")
     if m_size < 1:
         raise ValueError(f"m_size must be >= 1, got {m_size}")
-    forward = sup_likelihood_ratio(model, w, w2)
-    backward = sup_likelihood_ratio(model, w2, w)
+    return _spread_cap(
+        sup_likelihood_ratio(model, w, w2), sup_likelihood_ratio(model, w2, w), m_size
+    )
+
+
+def _spread_cap(forward: float, backward: float, m_size: int) -> float:
     try:
         return float((forward * backward) ** (m_size - 1))
     except OverflowError:
@@ -222,19 +229,28 @@ def diagnostics_report(
     mech: UpdatingMechanism,
     profile: StationaryProfile,
 ) -> DiagnosticsReport:
-    """Every diagnostic for one mechanism, from its solved occupancy profile."""
+    """Every diagnostic for one mechanism, from its solved occupancy profile.
+
+    Spreads and bounds are :func:`spread`'s and :func:`spread_upper_bound`'s.
+    """
     n = problem.n_states
     ratios = likelihood_ratio_matrix(profile)
-    spreads = np.full((n, n), np.nan)
-    bounds = np.ones((n, n))
+    # top[w, w2]: largest w-vs-w2 ratio where w is decided; bottom[w, w2]:
+    # smallest where w2 is; nan for an action no memory state decides.
+    top = np.full((n, n), np.nan)
+    bottom = np.full((n, n), np.nan)
     for w in range(n):
-        for w2 in range(n):
-            if w != w2:
-                bounds[w, w2] = spread_upper_bound(problem.model, mech.m_size, w, w2)
-            try:
-                spreads[w, w2] = spread(profile, mech.decision, w, w2)
-            except ValueError:
-                pass
+        region = np.flatnonzero(mech.decision == w)
+        if region.size:
+            top[w] = ratios[w][:, region].max(axis=1)
+            bottom[:, w] = ratios[:, w][:, region].min(axis=1)
+    with np.errstate(all="ignore"):
+        spreads = top / bottom
+    mass = problem.model.mass
+    sup = _sup_ratios(mass[:, None, :], mass[None, :, :]).tolist()
+    bounds = np.ones((n, n))
+    for w, v in itertools.permutations(range(n), 2):
+        bounds[w, v] = _spread_cap(sup[w][v], sup[v][w], mech.m_size)
     return DiagnosticsReport(
         likelihood_ratios=ratios,
         spreads=spreads,

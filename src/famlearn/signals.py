@@ -222,11 +222,18 @@ def sup_likelihood_ratio(model: SignalModel, w: int, w2: int) -> float:
     """Largest single-signal likelihood ratio of state ``w`` against ``w2``."""
     if w == w2:
         raise ValueError(f"likelihood ratio needs two distinct states, got {w} twice")
-    num, den = model.mass[w], model.mass[w2]
-    out = np.full_like(num, np.inf)
+    return float(_sup_ratios(model.mass[w], model.mass[w2]))
+
+
+def _sup_ratios(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """Largest ``num / den`` over the last axis, broadcasting the others.
+
+    A signal only ``den`` rules out counts as ``inf``; one both rule out, as 0.
+    """
+    out = np.full(np.broadcast_shapes(num.shape, den.shape), np.inf)
     np.divide(num, den, out=out, where=den > 0)
     out[(num == 0) & (den == 0)] = 0.0
-    return float(out.max())
+    return out.max(axis=-1)
 
 
 def cs_distance(model: SignalModel, w: int, w2: int) -> float:

@@ -197,6 +197,53 @@ def test_command_tag_mismatch(tmp_path):
     assert run("validate", spec, tmp_path) == 2
 
 
+STAR = star_spec()["mechanism"]
+STAR_WITHOUT_LAM = {"blueprint": {"family": "star", "params": {"delta": 5.0}}}
+
+
+@pytest.mark.parametrize(
+    "command, sections, message",
+    [
+        ("sweep", {"sweep": {"m": [1, 2]}, "search": [1]}, "search must be an object, got [1]"),
+        ("eval", {"problem": "model", "mechanism": STAR}, 'problem must be an object, got "model"'),
+        ("disagree", {"agents": [STAR, 7]}, "agents[1] must be an object, got 7"),
+        ("eval", {"mechanism": STAR_WITHOUT_LAM}, "mechanism.blueprint.params has no key 'lam'"),
+        (
+            "eval",
+            {"problem": {"model": BINARY_JSON, "typo_prior": [0.5, 0.5]}, "mechanism": STAR},
+            "problem has an unknown key 'typo_prior'",
+        ),
+        ("search", {"search": {"m_size": 2, "iteratons": 10}}, "search has an unknown key 'iteratons'"),
+        (
+            "eval",
+            {"mechanism": {**STAR, "inline": {"m": 1, "transition": [[[1.0], [1.0]]], "decision": [0]}}},
+            "mechanism needs exactly one of blueprint, file, inline",
+        ),
+        ("validate", {"closed_form": {"name": "star", "lam": 3}}, "closed_form has no key 'delta'"),
+    ],
+    ids=[
+        "search-not-an-object",
+        "problem-not-an-object",
+        "agent-not-an-object",
+        "star-without-lam",
+        "misspelt-problem-key",
+        "misspelt-search-knob",
+        "blueprint-and-inline",
+        "section-the-command-does-not-use",
+    ],
+)
+def test_a_malformed_spec_is_a_usage_exit_naming_the_path(
+    tmp_path, capsys, command, sections, message
+):
+    spec = write_spec(tmp_path, {"problem": {"model": BINARY_JSON}, **sections})
+    out = tmp_path / "out"
+    assert run(command, spec, out) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}"), err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 # --- eval -------------------------------------------------------------------
 
 

@@ -228,6 +228,41 @@ def test_report_serializes_non_finite_as_null():
     json.dumps(report.to_json())  # must not choke on inf/nan
 
 
+def same_bits(a, b):
+    """Equal bit for bit, any two NaNs counting as equal."""
+    return (math.isnan(a) and math.isnan(b)) or np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(2, 5),
+    m_size=st.integers(1, 6),
+    alphabet=st.integers(2, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_report_matches_the_per_pair_spreads_and_bounds_bit_for_bit(n, m_size, alphabet, seed):
+    """Zero occupancies, zero masses and actions no memory state decides included."""
+    rng = np.random.default_rng(seed)
+    occupancy = rng.random((n, m_size)) * (rng.random((n, m_size)) < 0.8)
+    mass = rng.random((n, alphabet)) * (rng.random((n, alphabet)) < 0.7)
+    mass[:, 0] += 1e-3
+    model = SignalModel(n, alphabet, mass / mass.sum(axis=1, keepdims=True))
+    decision = rng.integers(n, size=m_size)
+    identity = np.repeat(np.eye(m_size)[:, None, :], alphabet, axis=1)
+    mech = UpdatingMechanism(m_size=m_size, transition=identity, decision=decision)
+    profile = StationaryProfile(occupancy)
+    report = diagnostics_report(uniform_problem(model), mech, profile)
+    for w in range(n):
+        for w2 in range(n):
+            try:
+                want = spread(profile, decision, w, w2)
+            except ValueError:
+                want = math.nan
+            assert same_bits(report.spreads[w, w2], want), (w, w2)
+            bound = 1.0 if w == w2 else spread_upper_bound(model, m_size, w, w2)
+            assert same_bits(report.spread_bounds[w, w2], bound), (w, w2)
+
+
 # --- hub-and-spoke closed form ----------------------------------------------
 
 
