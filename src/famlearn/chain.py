@@ -44,7 +44,9 @@ class Problem:
 
     ``utilities[w]`` is the (strictly positive) payoff for taking action
     ``w`` when the state is ``w``; mismatches pay zero.  ``prior`` is a
-    strictly positive distribution over states.
+    strictly positive distribution over states.  The model's mass must be
+    nonnegative: :class:`SignalModel` leaves that to :func:`validate` to
+    report, but a negative probability is no basis for a decision.
     """
 
     model: SignalModel
@@ -65,6 +67,9 @@ class Problem:
             raise ValueError("prior must be strictly positive")
         if abs(prior.sum() - 1.0) > 1e-12:
             raise ValueError(f"prior sums to {prior.sum()!r}, not 1")
+        lowest = float(self.model.mass.min())
+        if lowest < 0.0:
+            raise ValueError(f"signal mass must be nonnegative, got {lowest!r}")
         utilities.setflags(write=False)
         prior.setflags(write=False)
         object.__setattr__(self, "utilities", utilities)
@@ -247,6 +252,47 @@ def recurrent_classes(q):
     return classes, np.flatnonzero(~closed[labels]).tolist()
 
 
+def _member_entries(q: SparseRows, members):
+    """The entries of the members' rows as ``(row, col, value)`` in member
+    positions, in the kernel's order.  Reads only those rows."""
+    local = np.full(len(q), -1)
+    local[members] = np.arange(len(members))
+    states = np.sort(members)
+    entry, place = q.entries(states)
+    return local[states][place], local[q.index[entry]], q.value[entry]
+
+
+def _tree_feeds(q: SparseRows, members):
+    """A tree's feeds, as :func:`_eliminate_sparse` gives them; else ``None``.
+
+    The chain is a tree when every member after the start has exactly one
+    entry to an earlier member and exactly one from an earlier member, both
+    joining it to the same member ``p(j)``: stars, lines started at an end,
+    and noisy stars.  Eliminating ``j`` then leaves it one outflow entry, to
+    ``p(j)``, and one inflow, so no pivot updates anything and the start is
+    the only root (Grassmann, Taksar & Heyman, *Oper. Res.* 33, 1985).
+    ``j``'s feed is ``(q[j, p(j)], [(p(j), q[p(j), j])])``, read off the
+    entries without the per-pivot loop.  Every ``q[j, p(j)]`` must be
+    positive, so the roots are those the loop's test ``s > 0`` would find:
+    the start alone.  Only the members' rows are read.
+    """
+    k = len(members)
+    if (q.indptr[1:][members] - q.indptr[members]).sum() > 3 * k - 2:  # 2 per edge, 1 per loop
+        return None
+    row, col, value = _member_entries(q, members)
+    back, ahead = col < row, col > row
+    if np.count_nonzero(back) != k - 1 or np.count_nonzero(ahead) != k - 1:
+        return None
+    # Unset, the two differ; set, each member after the start was met once.
+    parent, feeder = np.full(k, -1), np.full(k, -2)
+    parent[row[back]], feeder[col[ahead]] = col[back], row[ahead]
+    if not (parent[1:] == feeder[1:]).all() or not (value[back] > 0.0).all():
+        return None
+    outflow, inflow = np.zeros(k), np.zeros(k)
+    outflow[row[back]], inflow[col[ahead]] = value[back], value[ahead]
+    return outflow, np.r_[0, np.arange(k)], parent[1:], inflow[1:], {0: 1.0}
+
+
 def _eliminate_sparse(q: SparseRows, members):
     """GTH elimination of the chain on ``members`` on its nonzero entries.
 
@@ -254,22 +300,21 @@ def _eliminate_sparse(q: SparseRows, members):
     last to first (Grassmann, Taksar & Heyman, *Oper. Res.* 33, 1985).
     Eliminating ``j`` adds the outer product of its inflow column and its
     outflow row over the row's sum ``s`` to the states before it and the
-    roots, so a star, eliminated tip-inward, costs one update per state.  A
-    state with no outflow left is the root of a closed class (Sonin, *Adv.
-    Math.* 145, 1999): it stays and spreads nothing.  Returns each member's
-    feed, ``None`` for a root and else ``(s, [(i, a[i, j]), ...])`` over
-    ``i < j``, and the start's flows into the roots; or ``None`` once the
-    updates made would exceed the block's nonzero count.  Updates are the
-    textbook loop's, in its order; only a row's sum may be taken in another.
-    Only the members' rows of ``q`` are read.
-    :func:`_dense_gth` sums in panels, so the two agree to rounding, not
-    bitwise.  The diagonal, which GTH never reads, is not kept.
+    roots, so a star, eliminated tip-inward, makes no update at all (see
+    :func:`_tree_feeds`, which :func:`stationary` tries first).  A state
+    whose outflow sum is not ``s > 0`` is the root of a closed class
+    (Sonin, *Adv. Math.* 145, 1999): it stays and spreads nothing.  Returns
+    the feeds as :func:`_back_substitute` takes them: each member's ``s``,
+    0 at a root, its pairs ``(i, a[i, j])`` over ``i < j`` in CSR form, and
+    the start's flows into the roots; or ``None`` once the updates made
+    would exceed the block's nonzero count.  Updates are the textbook
+    loop's, in its order; only a row's sum may be taken in another.  Only
+    the members' rows of ``q`` are read.  :func:`_dense_gth` sums in
+    panels, so the two agree to rounding, not bitwise.  The diagonal, which
+    GTH never reads, is not kept.
     """
-    k, local = len(members), np.full(len(q), -1)
-    local[members] = np.arange(k)
-    states = np.sort(members)  # the members' entries in the kernel's order
-    entry, place = q.entries(states)
-    row, col, value = local[states][place], local[q.index[entry]], q.value[entry]
+    k = len(members)
+    row, col, value = _member_entries(q, members)
     budget, off = row.size, row != col
     rows, cols = [{} for _ in range(k)], [[] for _ in range(k)]
     for i, c, v in zip(row[off].tolist(), col[off].tolist(), value[off].tolist()):
@@ -277,7 +322,7 @@ def _eliminate_sparse(q: SparseRows, members):
         cols[c].append(i)
 
     updates = 0
-    feeds = [None] * k
+    outflows, feeds = [0.0] * k, [()] * k
     for j in range(k - 1, -1, -1):
         outflow = rows[j]
         s = sum(outflow.values())
@@ -287,8 +332,8 @@ def _eliminate_sparse(q: SparseRows, members):
         updates += len(inflow) * len(outflow) - len(outflow.keys() & inflow)
         if updates > budget:
             return None
-        feeds[j] = s, [(i, rows[i].pop(j)) for i in inflow]
-        for i, a in feeds[j][1]:
+        outflows[j], feeds[j] = s, [(i, rows[i].pop(j)) for i in inflow]
+        for i, a in feeds[j]:
             target = rows[i]
             for c, o in outflow.items():
                 if c != i:
@@ -297,48 +342,67 @@ def _eliminate_sparse(q: SparseRows, members):
                     else:
                         target[c] = a * (o / s)
                         cols[c].append(i)
-    return feeds, {0: 1.0} if feeds[0] is None else rows[0]
+    indptr = np.zeros(k + 1, dtype=np.int64)
+    np.cumsum([len(pairs) for pairs in feeds], out=indptr[1:])
+    source = np.array([i for pairs in feeds for i, _ in pairs], dtype=np.int64)
+    inflow = np.array([a for pairs in feeds for _, a in pairs], dtype=np.float64)
+    flows = rows[0] if outflows[0] else {0: 1.0}
+    return np.array(outflows), indptr, source, inflow, flows
 
 
-def _back_substitute(feeds, flows) -> np.ndarray:
+def _back_substitute(outflow, indptr, source, inflow, flows) -> np.ndarray:
     """Occupancy of eliminated members from their feeds and the start's flows.
 
-    A root (feed ``None``) starts at 1.  Any other member ``j``, fed by
-    ``(s, pairs)``, takes ``pi[j] = sum(pi[i] * a[i, j]) / s`` over the
-    pairs whose ``i`` lies in a class; one fed by no class is transient and
-    gets 0.  Along a long, strongly drifting branch the partial entries
-    leave the float range, and an entry flushed to zero would zero every
-    state fed from it.  So each entry is kept as a mantissa and a binary
-    exponent, and ``s`` is divided as one too, so a subnormal ``s`` cannot
-    overflow.  Each class comes to a common scale only at the end, where
-    what underflows lies below the smallest normal double.  Within the
-    float range this is bitwise the plain sum in the same order.  Each class
-    is normalised and scaled by the start's flow into its root over the
-    ``math.fsum`` of ``flows`` (``{0: 1.0}`` when the start is a root).
+    Member ``j`` leaves with outflow sum ``outflow[j]`` and is fed by the
+    pairs ``t`` in ``indptr[j]:indptr[j + 1]``, from member ``source[t]``
+    with weight ``inflow[t]``; the per-pivot loop, the tree test and the
+    dense elimination all hand their feeds over in this form.  A root
+    (``outflow`` 0, as the elimination's test ``s > 0`` found it, not an
+    empty row) starts at 1.  Any other member ``j`` takes ``pi[j] =
+    sum(pi[i] * a[i, j]) / s`` over the pairs whose ``i`` lies in a class;
+    one fed by no class is transient and gets 0.  Along a long, strongly
+    drifting branch the partial entries leave the float range, and an
+    entry flushed to zero would zero every state fed from it.  So each
+    entry is kept as a mantissa and a binary exponent, and ``s`` is
+    divided as one too, so a subnormal ``s`` cannot overflow; ``a / scale``
+    for each pair is taken up front.  Each class comes to a common scale
+    only at the end, where what underflows lies below the smallest normal
+    double.  Within the float range this is bitwise the plain sum in the
+    same order.  Each class is normalised and scaled by the start's flow
+    into its root over the ``math.fsum`` of ``flows`` (``{0: 1.0}`` when
+    the start is a root).
     """
-    k, transient_start = len(feeds), feeds[0] is not None
+    k, transient_start = outflow.size, bool(outflow[0])
+    scale, drop = np.frexp(outflow)
+    ratio = (inflow / np.repeat(scale, indptr[1:] - indptr[:-1])).tolist()
+    src, drop = source.tolist(), drop.tolist()
+    ptr, fed = indptr.tolist(), (outflow > 0.0).tolist()
     mantissa, exponent, label = [0.0] * k, [0] * k, [-1 if transient_start else 0] * k
-    for j, feed in enumerate(feeds):
-        if feed is None:
+    for j, lo, hi, d in zip(range(k), ptr, ptr[1:], drop):
+        if not fed[j]:
             mantissa[j], label[j] = 1.0, j
             continue
-        s, pairs = feed
-        if transient_start:  # else all is the start's class
-            pairs = [(i, a) for i, a in pairs if label[i] >= 0]
-            if not pairs:
-                continue
-            label[j] = label[pairs[0][0]]
-        scale, drop = math.frexp(s)
-        if len(pairs) == 1:  # the loop's result: ldexp(x, 0) is x and 0.0 + x is x
-            (i, a), = pairs
-            top, total = exponent[i], mantissa[i] * (a / scale)
+        if hi - lo == 1 and not transient_start:  # every step on a tree
+            i = src[lo]
+            top, total = exponent[i], mantissa[i] * ratio[lo]
         else:
-            top = max([exponent[i] for i, _ in pairs])
-            total = 0.0
-            for i, a in pairs:
-                total += math.ldexp(mantissa[i], exponent[i] - top) * (a / scale)
+            pairs = range(lo, hi)
+            if transient_start:  # else all is the start's class
+                pairs = [t for t in pairs if label[src[t]] >= 0]
+                if not pairs:
+                    continue
+                label[j] = label[src[pairs[0]]]
+            if len(pairs) == 1:  # the loop's result: ldexp(x, 0) is x and 0.0 + x is x
+                i = src[pairs[0]]
+                top, total = exponent[i], mantissa[i] * ratio[pairs[0]]
+            else:
+                top = max([exponent[src[t]] for t in pairs])
+                total = 0.0
+                for t in pairs:
+                    i = src[t]
+                    total += math.ldexp(mantissa[i], exponent[i] - top) * ratio[t]
         mantissa[j], shift = math.frexp(total)
-        exponent[j] = top + shift - drop
+        exponent[j] = top + shift - d
     weight, total = np.zeros(k), math.fsum(flows.values())
     weight[list(flows)] = [f / total for f in flows.values()]
     label = np.asarray(label)
@@ -405,11 +469,13 @@ def _dense_gth(q, members) -> np.ndarray:
                 return pi / pi.sum()
     # The last pivot is the start: ``outflow`` is its flows into the roots, over their sum.
     flows = dict(zip(roots, outflow.tolist())) if out[0] else {0: 1.0}
-    feeds = [None] * k
-    for j in np.flatnonzero(out).tolist():
-        i = np.flatnonzero(a[:j, j])
-        feeds[j] = out[j], list(zip(i.tolist(), a[i, j].tolist()))
-    return _back_substitute(feeds, flows)
+    fed = np.flatnonzero(out)
+    source = [np.flatnonzero(a[:j, j]) for j in fed.tolist()]
+    count = np.zeros(k, dtype=np.int64)
+    count[fed] = [i.size for i in source]
+    source = np.concatenate([np.zeros(0, dtype=np.int64), *source])
+    inflow = a[source, np.repeat(fed, count[fed])]
+    return _back_substitute(np.array(out), np.r_[0, np.cumsum(count)], source, inflow, flows)
 
 
 def stationary(q, initial: int = 0) -> np.ndarray:
@@ -421,7 +487,11 @@ def stationary(q, initial: int = 0) -> np.ndarray:
     it, with zeros on the transient states.  What ``initial`` reaches is
     solved by one elimination, ``initial`` last (see
     :func:`_eliminate_sparse`), on the kernel's nonzero entries, or on a
-    dense block once those fill in.  A kernel with no zero entry is one
+    dense block once those fill in.  When the reached members form a tree
+    in that order, as a star's, a line's from its end or a noisy star's do,
+    the elimination would update nothing, and its feeds are read straight
+    off the entries instead (see :func:`_tree_feeds`); all three paths end
+    in the one :func:`_back_substitute`.  A kernel with no zero entry is one
     class and goes straight to the dense elimination; a dense one is never
     converted to :class:`SparseRows`.  A sparse kernel's rows that
     ``initial`` does not reach are read only by the kernel checks.
@@ -438,7 +508,7 @@ def stationary(q, initial: int = 0) -> np.ndarray:
     else:
         reached = _reach(q, initial)
         members = np.concatenate([[initial], reached[reached != initial]])
-        eliminated = _eliminate_sparse(q, members)
+        eliminated = _tree_feeds(q, members) or _eliminate_sparse(q, members)
         pi = np.zeros(n)
         pi[members] = _back_substitute(*eliminated) if eliminated else _dense_gth(q, members)
     _check_residual(pi, q)

@@ -17,7 +17,7 @@ against ``schemas/experiment_spec.schema.json`` in the installed package
 (output schemas sit alongside it): a wrong JSON type or a missing or
 unknown key or name exits 2, naming its path, as in ``problem.prior[1]``.
 Numeric bounds are the library's and exit 1, save ``varsigma``'s (finite,
-at least 0), the one range check that exits 2.
+at least 0) and the seeds' (at least 0), the range checks that exit 2.
 """
 
 from __future__ import annotations
@@ -160,6 +160,8 @@ def _read_json(path, what: str):
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise SpecFormatError(f"{what} {path} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise SpecFormatError(f"{what} {path} is nested too deeply to read") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -196,11 +198,19 @@ class ExperimentSpec:
             )
 
     def seed(self, override: int | None) -> int:
-        if override is not None:
-            return override
-        if "seed" in self.raw:
-            return int(self.raw["seed"])
-        return int(self.raw.get("search", {}).get("seed", 0))
+        """``--seed``, else the spec's seed, else its search section's, else 0.
+
+        Like ``varsigma``, a seed below 0 is a usage error, wherever it is given.
+        """
+        given = {
+            "--seed": override,
+            "seed": self.raw.get("seed"),
+            "search.seed": self.raw.get("search", {}).get("seed"),
+        }
+        for where, value in given.items():
+            if value is not None and value < 0:
+                raise SpecFormatError(f"{where} must be at least 0, got {value}")
+        return next((int(value) for value in given.values() if value is not None), 0)
 
     def search_budget(self) -> int:
         return int(self.raw.get("search", {}).get("budget", DEFAULT_ENUMERATION_BUDGET))

@@ -46,15 +46,16 @@ class SearchConfig:
 
     Proposals redraw one transition row from a Dirichlet centered on its
     current value with concentration ``row / step_scale`` (plus a 1e-6
-    floor), so larger ``step_scale`` means bolder moves; because the
-    Dirichlet piles mass on faces when a row is already extreme, the walk
-    can approach the deterministic corners where optima often sit.  A row
-    on a corner is mostly proposed back onto that corner; proposals are
-    drawn a window of steps at a time, and a step where no restart's row
-    moves costs no solve and no loop iteration.  ``restarts`` independent
-    walks of ``iterations`` proposals each run from ``seed``; a restart's
-    walk does not depend on how many restarts run.  The temperature starts
-    at ``initial_temperature`` and is multiplied by ``cooling`` every step.
+    floor; a ``step_scale`` below 1e-300 counts as 1e-300), so larger
+    ``step_scale`` means bolder moves; because the Dirichlet piles mass on
+    faces when a row is already extreme, the walk can approach the
+    deterministic corners where optima often sit.  A row on a corner is
+    mostly proposed back onto that corner; proposals are drawn a window of
+    steps at a time, and a step where no restart's row moves costs no solve
+    and no loop iteration.  ``restarts`` independent walks of
+    ``iterations`` proposals each run from ``seed``; a restart's walk does
+    not depend on how many restarts run.  The temperature starts at
+    ``initial_temperature`` and is multiplied by ``cooling`` every step.
     """
 
     m_size: int
@@ -301,6 +302,9 @@ def _fast_loss(problem: Problem, transitions: np.ndarray, stakes, eye, unit) -> 
 
 #: Keeps Dirichlet concentrations positive when a row entry hits zero.
 _ALPHA_FLOOR = 1e-6
+#: Smallest ``step_scale`` the walk uses: below it ``row / step_scale``
+#: could overflow to ``inf``, and at it a row is all but fixed anyway.
+_STEP_SCALE_FLOOR = 1e-300
 #: Steps whose row cells and acceptance uniforms a restart draws at once.
 _CHUNK = 256
 #: Steps of a chunk whose gamma draws a restart makes in one call.
@@ -383,6 +387,7 @@ def local_search(problem: Problem, config: SearchConfig) -> SearchResult:
 
     record(0)
     rows = current.reshape(-1, m)  # a view: row r * m * k + cell is restart r's cell
+    step_scale = max(config.step_scale, _STEP_SCALE_FLOOR)
     temperature = config.initial_temperature
     for start in range(0, config.iterations, _CHUNK):
         size = min(_CHUNK, config.iterations - start)
@@ -394,7 +399,7 @@ def local_search(problem: Problem, config: SearchConfig) -> SearchResult:
         for lo in range(0, size, _WINDOW):
             window = cells[:, lo : lo + _WINDOW]  # (restarts, steps) row indices
             old = rows[window]
-            alpha = old / config.step_scale + _ALPHA_FLOOR
+            alpha = old / step_scale + _ALPHA_FLOOR
             states = [rng.bit_generator.state for rng in rngs]
             drawn = np.stack([_draw_rows(*args) for args in zip(rngs, states, alpha)])
             moved = (drawn != old).any(axis=2)
@@ -417,7 +422,7 @@ def local_search(problem: Problem, config: SearchConfig) -> SearchResult:
                     _draw_rows(rng, states[r], alpha[r, saved_at[r] : fresh])
                     states[r], saved_at[r], stale[r] = rng.bit_generator.state, fresh, width
                     now = rows[window[r, fresh:]]
-                    alpha[r, fresh:] = now / config.step_scale + _ALPHA_FLOOR
+                    alpha[r, fresh:] = now / step_scale + _ALPHA_FLOOR
                     drawn[r, fresh:] = _draw_rows(rng, states[r], alpha[r, fresh:])
                     moved[r, fresh:] = (drawn[r, fresh:] != now).any(axis=1)
                 if late.size:

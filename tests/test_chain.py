@@ -524,6 +524,85 @@ def test_builder_kernels_solve_sparse_and_match_dense_loop(family):
     )
 
 
+@st.composite
+def tree_kernels(draw):
+    """A chain on a random tree of 3 to 40 states, as a :class:`SparseRows`
+    kernel, and its start.  Each state after the root joins a random earlier
+    parent by entries both ways, with weights over 30 orders of magnitude,
+    so some occupancies leave the float range; some states keep a
+    self-loop, and some edges lead only away from the root.  The root takes
+    a random label; the others keep their order or are shuffled, so that in
+    some labellings a parent comes after its child.  Returns the kernel, the
+    start, and whether the tree test should hold."""
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    n = draw(st.integers(min_value=3, max_value=40))
+    parent = np.array([rng.integers(0, j) for j in range(1, n)], dtype=np.int64)
+    child = np.arange(1, n)
+    both = rng.random(n - 1) >= draw(st.sampled_from([0.0, 0.0, 0.1]))
+    loop = np.flatnonzero(rng.random(n) < draw(st.sampled_from([0.0, 0.5, 1.0])))
+    rows = np.concatenate([parent, child[both], loop])
+    cols = np.concatenate([child, parent[both], loop])
+    weight = 10.0 ** rng.uniform(-30.0, 0.0, size=rows.size)
+    # A state left with no entry, a leaf cut off from its parent, stays put.
+    stuck = np.setdiff1d(np.arange(n), rows)
+    rows, cols = np.concatenate([rows, stuck]), np.concatenate([cols, stuck])
+    weight = np.concatenate([weight, np.ones(stuck.size)])
+    weight /= np.bincount(rows, weight, minlength=n)[rows]
+    root = int(rng.integers(0, n))
+    rest = np.setdiff1d(np.arange(n), [root])
+    ordered = draw(st.booleans())
+    label = np.concatenate([[root], rest if ordered else rng.permutation(rest)])
+    q = SparseRows.from_entries(label[rows], label[cols], weight, n, n)
+    tree = both.all() and ((label[parent] == root) | (label[parent] < label[child])).all()
+    return q, root, bool(tree)
+
+
+@settings(max_examples=200, deadline=None)
+@given(tree_kernels())
+def test_a_tree_solves_bitwise_as_the_per_pivot_loop(case):
+    """Where the tree test holds the feeds come from the entries, and
+    where it fails the per-pivot loop runs; either way the occupancy is
+    bit for bit the loop's back-substitution."""
+    q, initial, tree = case
+    reached = chain._reach(q, initial)
+    members = np.concatenate([[initial], reached[reached != initial]])
+    assert (chain._tree_feeds(q, members) is not None) == tree
+    eliminated = chain._eliminate_sparse(q, members)
+    assert eliminated is not None or not tree
+    expected = np.zeros(len(q))
+    if eliminated is None:
+        expected[members] = chain._dense_gth(q, members)
+    else:
+        expected[members] = chain._back_substitute(*eliminated)
+    assert stationary(q, initial).tobytes() == expected.tobytes()
+
+
+def test_a_star_with_one_more_edge_takes_the_per_pivot_loop(monkeypatch):
+    """One entry from one tip of a 0.6/0.4 star to the other gives that
+    other tip two earlier neighbours: the tree test fails, and the
+    per-pivot loop gives the occupancy."""
+    model = SignalModel.from_rows([[0.6, 0.4], [0.4, 0.6]])
+    q = transition_kernel(build_star(model, lam=20, delta=5.0), model, 0).dense()
+    assert chain._tree_feeds(SparseRows.from_dense(q), np.arange(41)) is not None
+    q[20, 40] = q[20, 20] / 2
+    q[20, 20] /= 2
+    q = SparseRows.from_dense(q)
+    members = np.arange(41)
+    assert chain._tree_feeds(q, members) is None
+    calls = []
+    eliminate = chain._eliminate_sparse
+
+    def counted(*args):
+        calls.append(args)
+        return eliminate(*args)
+
+    monkeypatch.setattr(chain, "_eliminate_sparse", counted)
+    pi = stationary(q)
+    assert len(calls) == 1
+    assert pi.tobytes() == chain._back_substitute(*eliminate(q, members)).tobytes()
+    np.testing.assert_allclose(pi, oracles.dense_gth(q.dense()), rtol=1e-13, atol=0.0)
+
+
 def test_filled_in_class_restarts_on_the_dense_loop():
     rng = np.random.default_rng(3)
     q = _random_support_kernel(rng, 40, 0.3)
@@ -999,5 +1078,47 @@ def test_stationary_temporaries_do_not_grow_with_what_the_start_misses():
         finally:
             tracemalloc.stop()
         assert pi[:k].sum() == pytest.approx(1.0) and not pi[k:].any()
+        temporaries.append(peak - left)
+    assert abs(temporaries[1] - temporaries[0]) < 64 * 1024, temporaries
+
+
+def test_tree_test_temporaries_do_not_grow_with_what_the_start_misses(monkeypatch):
+    """A 61-state star, two branches of 30 about a centre, beside 2,000
+    states it never reaches, holding 2 or 50 entries each.  The tree test
+    reads only the reached rows, so the call's temporaries stay the same
+    while the kernel gains 96,000 entries, and the per-pivot loop never
+    runs."""
+    k, far, lam = 61, 2000, 30
+    branch = np.arange(1, k)
+    inward = np.where((branch - 1) % lam == 0, 0, branch - 1)
+    tip = branch % lam == 0
+    star_rows = np.concatenate([[0, 0], branch, branch[~tip], branch])
+    star_cols = np.concatenate([[1, lam + 1], inward, branch[~tip] + 1, branch])
+    star_values = np.concatenate(
+        [[0.5, 0.5], np.full(k - 1, 0.5), np.full(k - 3, 0.25), np.where(tip, 0.5, 0.25)]
+    )
+
+    def kernel(per_row):
+        start = np.arange(far)[:, None]
+        away = k + (start + np.arange(1, per_row + 1)) % far
+        rows = np.concatenate([star_rows, np.repeat(k + np.arange(far), per_row)])
+        cols = np.concatenate([star_cols, away.ravel()])
+        values = np.concatenate([star_values, np.full(far * per_row, 1 / per_row)])
+        return SparseRows.from_entries(rows, cols, values, k + far, k + far)
+
+    def refuse(q, members):
+        raise AssertionError("the star took the per-pivot loop")
+
+    monkeypatch.setattr(chain, "_eliminate_sparse", refuse)
+    temporaries = []
+    for per_row in (2, 50):
+        q = kernel(per_row)
+        tracemalloc.start()
+        try:
+            pi = stationary(q, 0)
+            left, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (pi[:k] > 0).all() and pi[:k].sum() == pytest.approx(1.0) and not pi[k:].any()
         temporaries.append(peak - left)
     assert abs(temporaries[1] - temporaries[0]) < 64 * 1024, temporaries

@@ -91,6 +91,15 @@ def test_malformed_spec_is_usage_exit(tmp_path):
     assert run("validate", str(path), tmp_path) == 2
 
 
+@pytest.mark.parametrize("depth", [sys.getrecursionlimit() + 10, 100_000])
+def test_a_spec_nested_past_the_recursion_limit_is_usage_exit(tmp_path, capsys, depth):
+    path = tmp_path / "deep.json"
+    path.write_text('{"problem": {"prior": ' + "[" * depth + "]" * depth + "}}")
+    assert run("validate", str(path), tmp_path) == 2
+    assert "nested too deeply" in capsys.readouterr().err
+    assert not (tmp_path / "validate.json").exists()
+
+
 def test_model_missing_key_is_usage_exit(tmp_path):
     renamed = {"n_states": 2, "alphabet_size": 2, "mass": BINARY_JSON["mass"]}
     spec = write_spec(tmp_path, {"problem": {"model": renamed}})

@@ -5,9 +5,10 @@ renamed function should fail here, not the next time a script is run.
 Every script keeps its work behind a ``__main__`` guard, so loading one
 runs nothing.  The absorbing-walk script, which backs the README's
 reducible-chain figures, the pair-chain script, which backs its
-``disagree`` figures, and the anneal script, which backs its annealing
-figures, are also run at a small size, and the enumeration script, which
-exits non-zero when a frozen winner changes, is run once.
+``disagree`` figures, the anneal script, which backs its annealing
+figures, and the eval script, which backs its large-star figures, are
+also run at a small size, and the enumeration script, which exits
+non-zero when a frozen winner changes, is run once.
 """
 
 import importlib.util
@@ -53,6 +54,16 @@ def test_absorbing_walk_script_runs_and_meets_gamblers_ruin():
     report = json.loads(done.stdout.splitlines()[-1])
     assert report["states"] == 2001
     assert report["rel_error"] <= 1e-12
+
+
+def test_eval_script_runs_and_meets_the_star_closed_form():
+    """The script behind the README's large-star figures, at 101 and 1,001
+    states; it exits non-zero when an occupancy leaves its closed form."""
+    done = run_script("eval_scaling.py", "--lams", "50", "500")
+    assert done.returncode == 0, done.stderr
+    reports = [json.loads(line) for line in done.stdout.splitlines()]
+    assert [r["states"] for r in reports] == [101, 1001]
+    assert all(r["rel_error"] <= 1e-9 for r in reports)
 
 
 def test_enumeration_script_finds_every_frozen_winner():
