@@ -34,7 +34,7 @@ RESIDUAL_TOL = 1e-8
 #: The plain back-substitution is trusted while every partial occupancy
 #: stays within ``[1/PLAIN_RANGE, PLAIN_RANGE]`` of the first state's.
 PLAIN_RANGE = 1e100
-#: Pivots per panel of the dense elimination (see :func:`_dense_gth`).
+#: Pivots per panel of the dense elimination (see :func:`_gth_stack`).
 _PANEL = 48
 
 
@@ -309,7 +309,7 @@ def _eliminate_sparse(q: SparseRows, members):
     the start's flows into the roots; or ``None`` once the updates made
     would exceed the block's nonzero count.  Updates are the textbook
     loop's, in its order; only a row's sum may be taken in another.  Only
-    the members' rows of ``q`` are read.  :func:`_dense_gth` sums in
+    the members' rows of ``q`` are read.  :func:`_gth_stack` sums in
     panels, so the two agree to rounding, not bitwise.  The diagonal, which
     GTH never reads, is not kept.
     """
@@ -355,52 +355,41 @@ def _back_substitute(outflow, indptr, source, inflow, flows) -> np.ndarray:
 
     Member ``j`` leaves with outflow sum ``outflow[j]`` and is fed by the
     pairs ``t`` in ``indptr[j]:indptr[j + 1]``, from member ``source[t]``
-    with weight ``inflow[t]``; the per-pivot loop, the tree test and the
-    dense elimination all hand their feeds over in this form.  A root
-    (``outflow`` 0, as the elimination's test ``s > 0`` found it, not an
-    empty row) starts at 1.  Any other member ``j`` takes ``pi[j] =
-    sum(pi[i] * a[i, j]) / s`` over the pairs whose ``i`` lies in a class;
-    one fed by no class is transient and gets 0.  Along a long, strongly
-    drifting branch the partial entries leave the float range, and an
-    entry flushed to zero would zero every state fed from it.  So each
-    entry is kept as a mantissa and a binary exponent, and ``s`` is
-    divided as one too, so a subnormal ``s`` cannot overflow; ``a / scale``
-    for each pair is taken up front.  Each class comes to a common scale
+    with weight ``inflow[t]``, as the per-pivot loop, the tree test and
+    :func:`_gth_stack` hand them over.  A root (``outflow`` 0, as the test
+    ``s > 0`` found it) starts at 1.  Any other member takes ``pi[j] =
+    sum(pi[i] * a[i, j]) / s`` over the pairs whose ``i`` lies in a class,
+    and 0 when none does: a transient member or one the start misses.
+    Partial entries can leave the float range along a drifting branch, so
+    each is kept as a mantissa and a binary exponent, and ``s`` and each
+    ``a`` are split the same way: a subnormal ``s`` cannot overflow and a
+    subnormal ``a`` keeps its bits.  Each class comes to a common scale
     only at the end, where what underflows lies below the smallest normal
-    double.  Within the float range this is bitwise the plain sum in the
-    same order.  Each class is normalised and scaled by the start's flow
-    into its root over the ``math.fsum`` of ``flows`` (``{0: 1.0}`` when
-    the start is a root).
+    double; within the float range this is bitwise the plain sum.  Each
+    class is normalised and scaled by its root's share of ``flows``.
     """
-    k, transient_start = outflow.size, bool(outflow[0])
-    scale, drop = np.frexp(outflow)
-    ratio = (inflow / np.repeat(scale, indptr[1:] - indptr[:-1])).tolist()
-    src, drop = source.tolist(), drop.tolist()
+    k = outflow.size
+    (scale, drop), (mant, grow) = np.frexp(outflow), np.frexp(inflow)
+    ratio = (mant / np.repeat(scale, indptr[1:] - indptr[:-1])).tolist()
+    src, grow, drop = source.tolist(), grow.tolist(), drop.tolist()
     ptr, fed = indptr.tolist(), (outflow > 0.0).tolist()
-    mantissa, exponent, label = [0.0] * k, [0] * k, [-1 if transient_start else 0] * k
+    mantissa, exponent, label = [0.0] * k, [0] * k, [-1] * k
     for j, lo, hi, d in zip(range(k), ptr, ptr[1:], drop):
         if not fed[j]:
             mantissa[j], label[j] = 1.0, j
             continue
-        if hi - lo == 1 and not transient_start:  # every step on a tree
+        if hi - lo == 1:  # every step on a tree; a source in no class has mantissa 0
             i = src[lo]
-            top, total = exponent[i], mantissa[i] * ratio[lo]
+            top, total, label[j] = exponent[i] + grow[lo], mantissa[i] * ratio[lo], label[i]
         else:
-            pairs = range(lo, hi)
-            if transient_start:  # else all is the start's class
-                pairs = [t for t in pairs if label[src[t]] >= 0]
-                if not pairs:
-                    continue
-                label[j] = label[src[pairs[0]]]
-            if len(pairs) == 1:  # the loop's result: ldexp(x, 0) is x and 0.0 + x is x
-                i = src[pairs[0]]
-                top, total = exponent[i], mantissa[i] * ratio[pairs[0]]
-            else:
-                top = max([exponent[src[t]] for t in pairs])
-                total = 0.0
-                for t in pairs:
-                    i = src[t]
-                    total += math.ldexp(mantissa[i], exponent[i] - top) * ratio[t]
+            pairs = [t for t in range(lo, hi) if label[src[t]] >= 0]
+            if not pairs:
+                continue
+            label[j] = label[src[pairs[0]]]
+            top, total = max([exponent[src[t]] + grow[t] for t in pairs]), 0.0
+            for t in pairs:  # one pair gives the tree step's bits: ldexp(x, 0) is x, 0.0 + x is x
+                i = src[t]
+                total += math.ldexp(mantissa[i], exponent[i] + grow[t] - top) * ratio[t]
         mantissa[j], shift = math.frexp(total)
         exponent[j] = top + shift - d
     weight, total = np.zeros(k), math.fsum(flows.values())
@@ -416,66 +405,99 @@ def _back_substitute(outflow, indptr, source, inflow, flows) -> np.ndarray:
     return pi
 
 
-def _dense_gth(q, members) -> np.ndarray:
-    """:func:`_eliminate_sparse` and :func:`_back_substitute` on a dense block.
+def _gth_stack(a: np.ndarray) -> np.ndarray:
+    """Long-run occupancy from state 0 of each kernel of the stack ``a``.
 
-    The block is a :class:`SparseRows` ``q``'s on ``members``, or a dense
-    ``q`` that is that block already, eliminated in place.  Pivots are
-    eliminated last to first in panels of ``_PANEL``.  A pivot's outflow
-    row, over the states before it and the roots so far, and its inflow
-    column are its entries of the block plus the panel's pending updates,
-    one matrix-vector product each.  Its raw inflow is written back to
-    ``a[:j, j]`` and its outflow row is divided by its sum ``s``.  After
-    the panel, the block before it and the root columns take the panel's
-    updates as one matrix product, from the first row with a nonzero inflow
-    and the first column with a nonzero outflow on, so a banded class costs
-    its band.  Only the order of the sums differs from the textbook
-    per-pivot loop.  With one BLAS thread on a 2-core x86 host, a 396-state
-    class takes about 9 ms and a 1,500-state one 0.15 s.  When the start is
-    the only root (an irreducible block), ``pi[j] = pi[:j] @ a[:j, j] / s``
-    runs plain while every partial entry stays within ``[1/PLAIN_RANGE,
-    PLAIN_RANGE]`` of ``pi[0] = 1``; otherwise the block's nonzero entries
-    go to :func:`_back_substitute`.
+    ``a`` is ``(t, k, k)``, eliminated in place last state first (Grassmann,
+    Taksar & Heyman, *Oper. Res.* 33, 1985) in panels of ``_PANEL`` pivots:
+    a pivot's outflow row, over the states before it and its entry's roots,
+    and its inflow column take the panel's pending updates by a
+    matrix-vector product each, and each entry's block before the panel
+    then takes them as one matrix product over its band.  A pivot whose
+    outflow sum is not ``s > 0`` is the root of a closed class (Sonin,
+    *Adv. Math.* 145, 1999): it keeps its raw inflows and spreads nothing.
+    State 0, last, is a root or spreads over the roots.  ``pi[j] = pi[:j] @
+    a[:j, j] / s``, from 1 at each root, runs on the whole stack; each class
+    is normalised and scaled by the start's flow into its root.  An entry
+    with a subnormal ``s``, a feed below ``PLAIN_RANGE`` times the smallest
+    normal double, or a partial entry outside ``[1/PLAIN_RANGE,
+    PLAIN_RANGE]`` goes to :func:`_back_substitute` instead.  An entry's
+    shapes and sums depend on ``k``, the pivot and the entry alone, so its
+    row is bitwise the same in any stack.  One BLAS thread on a 2-core x86
+    host takes about 12 ms at 400 states and 0.18 s at 1,600.
     """
-    a = q.block(members, members) if isinstance(q, SparseRows) else q
-    k = a.shape[0]
-    out, roots = [0.0] * k, []  # each pivot's outflow, 0 at a root
+    depth, k = a.shape[0], a.shape[-1]
+    root, classes = np.zeros((depth, k)), np.zeros(depth, dtype=np.int64)  # 1.0 at a root
+    sums, toward = [], []  # each pivot's outflow sum (inf at a root), where it spreads most
+    low, tiny, rooted = np.zeros(depth, dtype=bool), np.finfo(np.float64).tiny, False
     for hi in range(k, 0, -_PANEL):
         lo = max(0, hi - _PANEL)
-        inflows, outflows = np.zeros((hi, hi - lo)), np.zeros((hi - lo, k))
+        inflows, outflows = np.zeros((depth, hi, hi - lo)), np.zeros((depth, hi - lo, k))
         for t, j in enumerate(range(hi - 1, lo - 1, -1)):
-            live = np.r_[:j, roots] if roots else slice(j)
-            outflow = a[j, live] + inflows[j, :t] @ outflows[:t, live]
-            s = out[j] = outflow.sum()
-            if not s > 0.0:
-                roots.append(j)
-                continue
-            outflow /= s
-            outflows[t, live] = outflow
-            inflows[:j, t] = a[:j, j] = a[:j, j] + inflows[:j, :t] @ outflows[:t, j]
-        hit_rows, hit_cols = inflows[:lo].any(axis=1), outflows[:, :lo].any(axis=0)
-        if hit_rows.any():
-            r, c = hit_rows.argmax(), hit_cols.argmax()
-            cols = np.r_[c:lo, roots] if roots else slice(c, lo)
-            a[r:lo, cols] += inflows[r:lo] @ outflows[:, cols]
-    if roots == [0]:
-        pi = np.ones(k)  # pi[0] = 1; each later entry is set before it is read
-        with np.errstate(over="ignore"):
-            for j in range(1, k):
-                pi[j] = pi[:j] @ a[:j, j] / out[j]
-                if not 1.0 / PLAIN_RANGE <= pi[j] <= PLAIN_RANGE:
-                    break
-            else:
-                return pi / pi.sum()
-    # The last pivot is the start: ``outflow`` is its flows into the roots, over their sum.
-    flows = dict(zip(roots, outflow.tolist())) if out[0] else {0: 1.0}
-    fed = np.flatnonzero(out)
-    source = [np.flatnonzero(a[:j, j]) for j in fed.tolist()]
-    count = np.zeros(k, dtype=np.int64)
-    count[fed] = [i.size for i in source]
-    source = np.concatenate([np.zeros(0, dtype=np.int64), *source])
-    inflow = a[source, np.repeat(fed, count[fed])]
-    return _back_substitute(np.array(out), np.r_[0, np.cumsum(count)], source, inflow, flows)
+            pending = inflows[:, j, None, :t]
+            outflow = (pending @ outflows[:, :t, :j])[:, 0] + a[:, j, :j]
+            s = outflow.sum(axis=1)
+            if rooted:  # the roots beyond j are live too; an entry with none adds 0.0
+                beyond = (pending @ outflows[:, :t, j + 1 :])[:, 0] + a[:, j, j + 1 :]
+                beyond *= root[:, j + 1 :]
+                s += beyond.sum(axis=1)
+            found = np.count_nonzero(s) < depth  # a sum of terms >= 0: s != 0 is s > 0
+            if found:
+                root[:, j] = here = ~(s > 0.0)
+                classes += here
+                s[here] = np.inf  # a root's outflow row becomes 0
+            sums.append(s)
+            np.divide(outflow, s[:, None], out=outflows[:, t, :j])
+            if rooted:
+                np.divide(beyond, s[:, None], out=outflows[:, t, j + 1 :])
+            rooted |= found
+            if not j:
+                break
+            update = (inflows[:, :j, :t] @ outflows[:, :t, j, None])[..., 0]
+            if found:  # a root keeps its raw inflows; its 0 outflow row spreads them nowhere
+                update[here] = 0.0
+            column = a[:, :j, j]
+            column += update
+            inflows[:, :j, t] = column
+        low |= ((0.0 < inflows) & (inflows < tiny * PLAIN_RANGE)).any(axis=(1, 2))
+        toward.append(outflows.argmax(axis=2))
+        for e in range(depth) if lo else ():  # each entry's own band
+            hit_rows, hit_cols = inflows[e, :lo].any(axis=1), outflows[e, :, :lo].any(axis=0)
+            if hit_rows.any():
+                r, c = hit_rows.argmax(), hit_cols.argmax()
+                roots = np.flatnonzero(root[e, lo:]) + lo
+                cols = np.r_[c:lo, roots] if roots.size else slice(c, lo)
+                a[e][r:lo, cols] += inflows[e, r:lo] @ outflows[e][:, cols]
+    scale, weight = np.array(sums[::-1]), outflows[:, -1]  # (k, t); the start's flows
+    weight[:, 0] = root[:, 0]
+    starts, pi = root.any(axis=0).tolist(), root[:, None].copy()
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(1, k):
+            feed = pi[:, :, :j] @ a[:, :j, j, None]
+            np.divide(feed, scale[j, :, None, None], out=pi[:, :, j, None])
+            if starts[j]:  # a root takes nothing from its feeds and starts at 1
+                pi[:, 0, j] += root[:, j]
+        pi = pi[:, 0]
+        held = np.where(pi > 0.0, pi, 1.0)
+        bad = (held < 1.0 / PLAIN_RANGE) | (held > PLAIN_RANGE) | (scale.T < tiny)
+        plain = ~low & ~bad.any(axis=1) if bad.any() else ~low
+        total, share = pi.sum(axis=1, keepdims=True), 1.0  # one class: the start's flow is 1
+        if classes.max() > 1:  # a recurrent state spreads within its class: follow it to the root
+            toward = np.concatenate(toward, axis=1)[:, ::-1]
+            cell = np.arange(depth)[:, None] * k + np.where(root > 0.0, np.arange(k), toward)
+            for _ in range(k.bit_length()):
+                cell = cell.ravel()[cell]
+            by_class = np.bincount(cell.ravel(), pi.ravel(), minlength=depth * k)[cell]
+            total, share = np.where(classes[:, None] > 1, by_class, total), weight.ravel()[cell]
+        pi = pi / total * share
+    for e in np.flatnonzero(~plain).tolist():
+        out = np.where(root[e] > 0.0, 0.0, scale[:, e])
+        feeds = np.triu(a[e], 1).T * (out > 0.0)[:, None]  # feeds[j, i]: a[i, j] into a non-root
+        target, source = np.nonzero(feeds)
+        indptr = np.r_[0, np.cumsum(np.bincount(target, minlength=k))]
+        flows = {r: weight[e, r] for r in np.flatnonzero(root[e]).tolist()}
+        pi[e] = _back_substitute(out, indptr, source, feeds[target, source], flows)
+    return pi
 
 
 def stationary(q, initial: int = 0) -> np.ndarray:
@@ -486,15 +508,15 @@ def stationary(q, initial: int = 0) -> np.ndarray:
     stationary vector weighted by the probability of being absorbed into
     it, with zeros on the transient states.  What ``initial`` reaches is
     solved by one elimination, ``initial`` last (see
-    :func:`_eliminate_sparse`), on the kernel's nonzero entries, or on a
-    dense block once those fill in.  When the reached members form a tree
-    in that order, as a star's, a line's from its end or a noisy star's do,
-    the elimination would update nothing, and its feeds are read straight
-    off the entries instead (see :func:`_tree_feeds`); all three paths end
-    in the one :func:`_back_substitute`.  A kernel with no zero entry is one
-    class and goes straight to the dense elimination; a dense one is never
-    converted to :class:`SparseRows`.  A sparse kernel's rows that
-    ``initial`` does not reach are read only by the kernel checks.
+    :func:`_eliminate_sparse`), on the kernel's nonzero entries, or as a
+    stack of one dense block once those fill in (:func:`_gth_stack`).  When
+    the reached members form a tree in that order, as a star's, a line's
+    from its end or a noisy star's do, the elimination would update
+    nothing, and its feeds are read straight off the entries instead (see
+    :func:`_tree_feeds`).  A kernel with no zero entry is one class and
+    goes straight to the dense elimination; a dense one is never converted
+    to :class:`SparseRows`.  A sparse kernel's rows that ``initial`` does
+    not reach are read only by the kernel checks.
     """
     q = _check_kernel(q)
     n = len(q)
@@ -504,13 +526,14 @@ def stationary(q, initial: int = 0) -> np.ndarray:
     if dense and not q.all():
         q, dense = SparseRows.from_dense(q), False
     if dense or q.nnz == n * n:  # one class: no start to put last
-        pi = _dense_gth(q.copy() if dense else q.dense(), range(n))
+        pi = _gth_stack((q.copy() if dense else q.dense())[None])[0]
     else:
         reached = _reach(q, initial)
         members = np.concatenate([[initial], reached[reached != initial]])
         eliminated = _tree_feeds(q, members) or _eliminate_sparse(q, members)
+        block = None if eliminated else q.block(members, members)[None]
         pi = np.zeros(n)
-        pi[members] = _back_substitute(*eliminated) if eliminated else _dense_gth(q, members)
+        pi[members] = _back_substitute(*eliminated) if eliminated else _gth_stack(block)[0]
     _check_residual(pi, q)
     return pi
 

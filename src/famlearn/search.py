@@ -6,7 +6,8 @@ be attained, so nothing here ever claims it.  Instead:
 * :func:`enumerate_deterministic` brute-forces every mechanism whose
   transitions are deterministic, one canonical table per relabelling
   class, which is exact *within that class* and a trustworthy reference
-  on small instances;
+  on small instances; each slice of tables is scored at once by the
+  chain solver's dense elimination, so every score is an exact loss;
 * :func:`local_search` runs restarted simulated annealing over the full
   stochastic class, reporting the best loss found and an improvement
   trace; its restarts advance in lockstep, each on its own spawned RNG
@@ -30,7 +31,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .automata import UpdatingMechanism
-from .chain import Problem, _price, occupancy_profile
+from .chain import Problem, _gth_stack, _price, occupancy_profile
 from .errors import BudgetExceededError
 
 #: Enumeration refuses instances with more canonical tables than this:
@@ -133,41 +134,6 @@ def _exact_result(problem: Problem, transition: np.ndarray, trace) -> SearchResu
 # ---------------------------------------------------------------------------
 
 
-def _cesaro_rows(kernels: np.ndarray) -> np.ndarray:
-    """Long-run occupancy from state 0 of each stacked kernel, by one GTH pass.
-
-    States are eliminated last to first on the whole stack at once
-    (Grassmann, Taksar & Heyman, *Oper. Res.* 33, 1985).  A pivot with no
-    outflow to the states left is the root of a closed class: it stays,
-    and nothing is spread from it (Sonin, *Adv. Math.* 145, 1999).  State
-    0, handled last, is a root or spreads over the roots with its
-    absorption probabilities.  Back-substitution from the roots gives each
-    class's occupancy relative to its root, scaled to the class's
-    absorption probability: the exact Cesaro limit, periodic and reducible
-    chains included.  A subnormal outflow can overflow a row to ``inf`` or
-    NaN without a warning; callers check that the rows are finite.
-    """
-    a = kernels.copy()
-    m = a.shape[-1]
-    left = np.ones(a.shape[:-1], dtype=bool)  # states left, and the roots
-    with np.errstate(over="ignore", invalid="ignore"):
-        for j in range(m - 1, -1, -1):
-            left[:, j] = False
-            outflow = np.where(left, a[:, j], 0.0)
-            s = outflow.sum(axis=-1)
-            left[:, j] = root = ~(s > 0.0)
-            # A root keeps its raw inflows; any other pivot's become its feed.
-            a[:, :j, j] /= np.where(root, 1.0, s)[:, None]
-            a[:, :j] += a[:, :j, j, None] * outflow[:, None, :]
-        weights = outflow / np.where(root, 1.0, s)[:, None]
-        weights[:, 0] = root
-        occupancy = left[:, :, None] * np.eye(m)  # one row per possible root
-        for j in range(1, m):
-            occupancy[:, :, j] += (occupancy[:, :, :j] @ a[:, :j, j, None])[..., 0]
-        scale = weights / np.where(left, occupancy.sum(axis=-1), 1.0)
-        return np.einsum("tr,trj->tj", scale, occupancy)
-
-
 def _canonical_tables(m_size: int, alphabet: int) -> np.ndarray:
     """Every breadth-first canonical table, in ascending code order.
 
@@ -206,18 +172,27 @@ def _count_tables(m_size: int, alphabet: int, stop_above: float = math.inf) -> i
     return sum(prefixes)
 
 
+def _table_kernels(mass: np.ndarray, tables: np.ndarray) -> np.ndarray:
+    """Kernels ``(t, n, m, m)`` of tables ``(t, m, k)``: signal masses added at successors."""
+    t, m, k = tables.shape
+    kernels = np.zeros((t, mass.shape[0], m, m))
+    cells = np.arange(t)[:, None], slice(None), np.arange(m)
+    for s in range(k):
+        kernels[(*cells, tables[:, :, s])] += mass[:, s]
+    return kernels
+
+
 def _scored_tables(problem: Problem, m_size: int):
-    """Canonical tables, one-hot ``(t, m, k, m)``, and their scores; a non-finite row scores inf."""
-    m, n, mass = m_size, problem.n_states, problem.model.mass
-    onehot = _canonical_tables(m, mass.shape[1])[..., None] == np.arange(m)
-    losses = np.empty(len(onehot))
+    """Canonical tables ``(t, m, k)`` and their losses, one stacked GTH per slice."""
+    m, n = m_size, problem.n_states
+    tables = _canonical_tables(m, problem.model.alphabet_size)
+    losses = np.empty(len(tables))
     step = max(1, _SCORE_KERNELS // n)
-    for lo in range(0, len(onehot), step):
-        kernels = np.einsum("ws,tmsj->twmj", mass, onehot[lo : lo + step])
-        occ = _cesaro_rows(kernels.reshape(-1, m, m)).reshape(-1, n, m)
-        finite = np.isfinite(occ).all(axis=(1, 2))
-        losses[lo : lo + step] = np.where(finite, _price(problem.stakes, occ)[1], np.inf)
-    return onehot, losses
+    for lo in range(0, len(tables), step):
+        kernels = _table_kernels(problem.model.mass, tables[lo : lo + step])
+        occ = _gth_stack(kernels.reshape(-1, m, m)).reshape(-1, n, m)
+        losses[lo : lo + step] = _price(problem.stakes, occ)[1]
+    return tables, losses
 
 
 def enumeration_count(problem: Problem, m_size: int) -> int:
@@ -247,10 +222,10 @@ def enumerate_deterministic(
     n_tables = _count_tables(m_size, problem.model.alphabet_size, stop_above=budget)
     if n_tables > budget:
         raise BudgetExceededError(n_tables, budget)
-    onehot, losses = _scored_tables(problem, m_size)
+    tables, losses = _scored_tables(problem, m_size)
     best = None
     for idx in np.flatnonzero(losses <= losses.min() + 1e-9):
-        candidate = _exact_result(problem, onehot[idx], trace=())
+        candidate = _exact_result(problem, np.eye(m_size)[tables[idx]], trace=())
         if best is None or candidate.loss < best.loss - 1e-15:
             best = candidate
     return replace(best, trace=((0, best.loss),), epsilon_gap=0.0)

@@ -252,7 +252,7 @@ def test_dense_and_sparse_root_rules_agree_on_the_reached_block(case):
     eliminated = chain._eliminate_sparse(sparse, members)
     if eliminated is not None:
         ref = chain._back_substitute(*eliminated)
-        pi = chain._dense_gth(sparse, members)
+        pi = chain._gth_stack(sparse.block(members, members)[None])[0]
         tiny = np.finfo(np.float64).tiny
         normal = ref >= tiny
         np.testing.assert_allclose(pi[normal], ref[normal], rtol=1e-14, atol=0.0)
@@ -297,11 +297,11 @@ def test_a_fan_into_16000_absorbing_states_splits_evenly_in_one_elimination(monk
         calls.append(args)
         return eliminate(*args)
 
-    def refuse(a, members):
+    def refuse(a):
         raise AssertionError("the fan fell back to the dense block")
 
     monkeypatch.setattr(chain, "_eliminate_sparse", counted)
-    monkeypatch.setattr(chain, "_dense_gth", refuse)
+    monkeypatch.setattr(chain, "_gth_stack", refuse)
     pi = stationary(q, 0)
     assert len(calls) == 1
     assert pi[0] == 0.0 and (pi[1:] == 1.0 / k).all()
@@ -324,10 +324,10 @@ def test_absorbing_walk_stays_sparse_and_matches_gamblers_ruin(initial, monkeypa
         WALK,
     )
 
-    def refuse(a, members):
+    def refuse(a):
         raise AssertionError("the absorbing walk fell back to the dense block")
 
-    monkeypatch.setattr(chain, "_dense_gth", refuse)
+    monkeypatch.setattr(chain, "_gth_stack", refuse)
     pi = stationary(q, initial)
     ends = [WALK - 1 - initial, initial]
     np.testing.assert_allclose(pi[[0, -1]], np.divide(ends, WALK - 1), rtol=1e-12, atol=0.0)
@@ -358,13 +358,13 @@ def test_transient_start_solves_only_what_it_reaches(monkeypatch):
 
         def counted(*args, **kwargs):
             calls[name] = calls.get(name, 0) + 1
-            if name in ("_eliminate_sparse", "_dense_gth"):
+            if name == "_eliminate_sparse":
                 solved.append(list(args[1]))
             return wrapped(*args, **kwargs)
 
         monkeypatch.setattr(chain, name, counted)
 
-    for name in ("_reach", "_check_kernel", "_eliminate_sparse", "_dense_gth"):
+    for name in ("_reach", "_check_kernel", "_eliminate_sparse", "_gth_stack"):
         count(name)
     pi = chain.stationary(q, initial)
     assert calls == {"_reach": 1, "_check_kernel": 1, "_eliminate_sparse": 1}
@@ -398,7 +398,7 @@ def test_positive_dense_kernel_is_solved_in_place_of_a_sparse_copy(monkeypatch):
     monkeypatch.setattr(SparseRows, "from_dense", refuse)
     pi = stationary(q)
     assert pi.tolist() == expected.tolist()
-    assert pi.tolist() == chain._dense_gth(given.copy(), range(60)).tolist()
+    assert pi.tolist() == chain._gth_stack(given.copy()[None])[0].tolist()
     np.testing.assert_array_equal(q, given)
 
 
@@ -447,7 +447,7 @@ def test_sparse_elimination_matches_dense_loop_bitwise(seed):
     members = list(range(n))
     assert chain._eliminate_sparse(SparseRows.from_dense(q), members) is None
     pi = stationary(q)
-    assert pi.tolist() == chain._dense_gth(q.copy(), members).tolist()
+    assert pi.tolist() == chain._gth_stack(q.copy()[None])[0].tolist()
     for ref in (oracles.dense_gth(q), oracles.gth_mp(q)):
         np.testing.assert_allclose(pi, ref, rtol=1e-13, atol=0.0)
 
@@ -464,7 +464,7 @@ def test_dense_elimination_across_panel_edges(n):
     near = np.abs(np.arange(n)[:, None] - np.arange(n)) <= PANEL // 2
     q = near * rng.uniform(0.1, 1.0, size=(n, n))
     q /= q.sum(axis=1, keepdims=True)
-    pi = chain._dense_gth(q.copy(), list(range(n)))
+    pi = chain._gth_stack(q.copy()[None])[0]
     chain._check_residual(pi, q)
     for ref in (oracles.dense_gth(q), oracles.gth_mp(q)):
         np.testing.assert_allclose(pi, ref, rtol=1e-13, atol=0.0)
@@ -474,7 +474,7 @@ def test_dense_elimination_takes_a_member_without_outflow_as_a_root():
     """State 2 absorbs, and states 0 and 1 leak into it: the dense
     elimination takes it as a root and puts all the mass there."""
     a = np.array([[0.5, 0.25, 0.25], [0.5, 0.0, 0.5], [0.0, 0.0, 1.0]])
-    pi = chain._dense_gth(a, [0, 1, 2])
+    pi = chain._gth_stack(a.copy()[None])[0]
     np.testing.assert_allclose(pi, oracles.absorption_mp(a, 0), rtol=1e-15, atol=0.0)
 
 
@@ -502,7 +502,103 @@ def test_dense_elimination_carries_roots_across_panels():
     np.testing.assert_allclose(stationary(q, initial), expected, rtol=1e-12, atol=0.0)
 
 
-WEAK = SignalModel.from_rows([[0.51, 0.49], [0.49, 0.51]])
+def _stack_kernel(rng, k, kind):
+    """A ``k``-state kernel of one kind, with up to three entries per row
+    over three orders of magnitude: a bare permutation (periodic classes),
+    a random sparse graph (reducible, often with a transient start and
+    states it never reaches), the same plus a ring (irreducible), or one
+    whose first half, the start's, never leaves itself."""
+    if kind == "periodic":
+        return np.eye(k)[rng.permutation(k)]
+    q = np.zeros((k, k))
+    for i in range(k):
+        width = int(rng.integers(1, min(3, k) + 1))
+        q[i, rng.choice(k, size=width, replace=False)] = 10.0 ** rng.uniform(-3.0, 0.0, size=width)
+    if kind == "irreducible":
+        q[np.arange(k), (np.arange(k) + 1) % k] += 0.5
+    elif kind == "unreached":
+        half = (k + 1) // 2
+        q[:half, half:] = 0.0
+        q[np.arange(half), (np.arange(half) + 1) % half] += 0.5
+    return q / q.sum(axis=1, keepdims=True)
+
+
+@st.composite
+def kernel_stacks(draw):
+    """A stack of 2 to 8 kernels of 1 to 60 states, across a panel edge,
+    drawn from one to three distinct kernels; returns the stack, the
+    distinct kernels and which one each entry is."""
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    k = draw(st.integers(min_value=1, max_value=60))
+    kinds = ["periodic", "reducible", "irreducible", "unreached"]
+    kinds = draw(st.lists(st.sampled_from(kinds), min_size=1, max_size=3))
+    distinct = [_stack_kernel(rng, k, kind) for kind in kinds]
+    order = draw(st.lists(st.integers(0, len(distinct) - 1), min_size=2, max_size=8))
+    return np.stack([distinct[i] for i in order]), distinct, order
+
+
+@settings(max_examples=100, deadline=None)
+@given(kernel_stacks())
+def test_stacking_does_not_change_an_entry(case):
+    """Each entry's row is bit for bit its kernel's solved as a stack of
+    one, whatever else the stack holds, and matches the 40-digit Cesaro
+    limit from state 0."""
+    stack, distinct, order = case
+    rows = chain._gth_stack(stack.copy())
+    alone = [chain._gth_stack(q.copy()[None])[0] for q in distinct]
+    for row, i in zip(rows, order):
+        assert row.tobytes() == alone[i].tobytes()
+    tiny = np.finfo(np.float64).tiny
+    for q, row in zip(distinct, alone):
+        ref = oracles.absorption_mp(q, 0)
+        normal = ref >= tiny
+        np.testing.assert_allclose(row[normal], ref[normal], rtol=1e-12, atol=0.0)
+        assert np.abs(row[~normal] - ref[~normal]).max(initial=0.0) <= tiny
+
+
+def test_a_start_that_absorbs_leaves_the_states_it_misses_at_zero():
+    """State 0 absorbs; states 1 and 2 feed each other and leak into it
+    with probability 1e-320.  That subnormal outflow sum sends the block to
+    the exponent-keeping back-substitution, where state 1, fed by no class,
+    and state 2, fed only by it, get 0."""
+    q = np.array([[1.0, 0.0, 0.0], [1e-320, 0.5, 0.5], [0.0, 1.0, 0.0]])
+    pi = chain._gth_stack(q.copy()[None])[0]
+    assert pi.tolist() == [1.0, 0.0, 0.0]
+    assert pi.tolist() == oracles.absorption_mp(q, 0).tolist()
+
+
+def test_a_subnormal_feed_keeps_its_bits():
+    """World 0 of the mass ``[[0.6, 0.4 - 1e-320, 1e-320], [0.3, 0.3, 0.4]]``
+    under the table ``[[0, 0, 1], [2, 2, 0], [2, 1, 0]]``.  State 1 is fed
+    from the start with 1e-320, a subnormal with few bits, so it is split
+    into mantissa and exponent before it is divided by state 1's outflow."""
+    q = np.array([[1.0, 1e-320, 0.0], [1e-320, 0.0, 1.0], [1e-320, 0.4, 0.6]])
+    pi = stationary(q)
+    np.testing.assert_allclose(pi, oracles.gth_mp(q), rtol=1e-15, atol=0.0)
+    np.testing.assert_allclose(pi, [0.5, 1 / 7, 5 / 14], rtol=1e-15, atol=0.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_a_birth_death_chain_with_subnormal_rates_matches_high_precision_gth(seed):
+    """Up and down rates log-uniform over 1e-323 to 0.5, on 3 to 11 states
+    started at an end: a tree whose feeds may be subnormal."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(3, 12))
+    step = np.arange(n - 1)
+    q = np.zeros((n, n))
+    q[step, step + 1] = 10.0 ** rng.uniform(-323.0, 0.0, size=n - 1) / 2
+    q[step + 1, step] = 10.0 ** rng.uniform(-323.0, 0.0, size=n - 1) / 2
+    q[np.arange(n), np.arange(n)] = 1.0 - q.sum(axis=1)
+    pi = stationary(q)
+    ref = oracles.gth_mp(q)
+    tiny = np.finfo(np.float64).tiny
+    normal = ref >= tiny
+    np.testing.assert_allclose(pi[normal], ref[normal], rtol=1e-14, atol=0.0)
+    assert np.abs(pi[~normal] - ref[~normal]).max(initial=0.0) <= tiny
+
+
+WEAK =SignalModel.from_rows([[0.51, 0.49], [0.49, 0.51]])
 # Weak signals keep the plain GTH loop of oracles.dense_gth in the float range.
 BUILDER_KERNELS = {
     "star": (build_star(WEAK, lam=400, delta=2.0), 1),
@@ -571,7 +667,7 @@ def test_a_tree_solves_bitwise_as_the_per_pivot_loop(case):
     assert eliminated is not None or not tree
     expected = np.zeros(len(q))
     if eliminated is None:
-        expected[members] = chain._dense_gth(q, members)
+        expected[members] = chain._gth_stack(q.block(members, members)[None])[0]
     else:
         expected[members] = chain._back_substitute(*eliminated)
     assert stationary(q, initial).tobytes() == expected.tobytes()

@@ -6,9 +6,10 @@ Every script keeps its work behind a ``__main__`` guard, so loading one
 runs nothing.  The absorbing-walk script, which backs the README's
 reducible-chain figures, the pair-chain script, which backs its
 ``disagree`` figures, the anneal script, which backs its annealing
-figures, and the eval script, which backs its large-star figures, are
-also run at a small size, and the enumeration script, which exits
-non-zero when a frozen winner changes, is run once.
+figures, the eval script, which backs its large-star figures, and the
+dense-class script, which backs its dense-elimination figures, are also
+run at a small size, and the enumeration script, which exits non-zero
+when a frozen winner changes, is run once.
 """
 
 import importlib.util
@@ -64,6 +65,16 @@ def test_eval_script_runs_and_meets_the_star_closed_form():
     reports = [json.loads(line) for line in done.stdout.splitlines()]
     assert [r["states"] for r in reports] == [101, 1001]
     assert all(r["rel_error"] <= 1e-9 for r in reports)
+
+
+def test_dense_class_script_runs_across_panel_edges():
+    """The script behind the README's dense-elimination figures, at 60 and
+    200 states; it exits non-zero on a residual past the solver's gate."""
+    done = run_script("dense_class_scaling.py", "--sizes", "60", "200")
+    assert done.returncode == 0, done.stderr
+    report = json.loads(done.stdout.splitlines()[-1])
+    assert sorted(report["residual"]) == ["200", "60"]
+    assert all(r <= 1e-8 for r in report["residual"].values())
 
 
 def test_enumeration_script_finds_every_frozen_winner():

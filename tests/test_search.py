@@ -26,7 +26,8 @@ from famlearn import (
     uniform_problem,
     utility_loss,
 )
-from famlearn.search import _canonical_tables, _cesaro_rows, _count_tables
+from famlearn.chain import _gth_stack
+from famlearn.search import _canonical_tables, _count_tables
 
 BINARY = SignalModel.from_rows([[0.8, 0.2], [0.2, 0.8]])
 
@@ -183,7 +184,7 @@ def test_cesaro_rows_match_power_averaging_oracle(name, initial):
     stack = np.stack([kernel, kernel.T / kernel.T.sum(axis=1, keepdims=True)])
     order = np.arange(len(kernel))
     order[[0, initial]] = order[[initial, 0]]
-    rows = _cesaro_rows(stack[:, order][:, :, order])
+    rows = _gth_stack(stack[:, order][:, :, order])
     for got, q in zip(rows, stack):
         want = oracles.cesaro_occupancy(q, initial)[order]
         np.testing.assert_allclose(got, want, atol=1e-12)
@@ -217,7 +218,7 @@ SLOW_KERNELS = {
 def test_cesaro_rows_reach_closed_form_limits_of_slow_kernels(name):
     kernel, limit = SLOW_KERNELS[name]
     stack = np.array(kernel, dtype=float)[None]
-    np.testing.assert_allclose(_cesaro_rows(stack)[0], limit, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(_gth_stack(stack)[0], limit, rtol=0, atol=1e-14)
 
 
 def test_cesaro_rows_cap_the_squarings_for_a_tiny_entry_without_warning():
@@ -227,14 +228,14 @@ def test_cesaro_rows_cap_the_squarings_for_a_tiny_entry_without_warning():
     )
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        rows = _cesaro_rows(stack)
+        rows = _gth_stack(stack)
     np.testing.assert_allclose(rows, [[1.0, 0.0, 0.0], [1 / 3] * 3], rtol=0, atol=1e-14)
     assert (rows >= 0.0).all()
 
 
 def test_cesaro_rows_of_single_state_kernels_are_ones():
     stack = np.ones((3, 1, 1))
-    np.testing.assert_array_equal(_cesaro_rows(stack), np.ones((3, 1)))
+    np.testing.assert_array_equal(_gth_stack(stack), np.ones((3, 1)))
 
 
 @st.composite
@@ -261,22 +262,24 @@ def sparse_kernels(draw):
 @example(np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]))  # one class unreached
 @example(np.array([[1 - 1e-12, 1e-12, 0, 0], [0, 0, 1, 0], [0.5, 0, 0, 0.5], [0, 0, 0, 1]]))
 def test_cesaro_rows_match_the_chain_solver(q):
-    got = _cesaro_rows(q[None])[0]
+    got = _gth_stack(q.copy()[None])[0]
     want = chain.stationary(q, 0)
     np.testing.assert_array_equal(got == 0.0, want == 0.0)
     np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
 
 
 # A subnormal pivot outflow: world 1's kernel under this table eliminates
-# state 1 on an outflow of 1e-320, and its row overflows.
+# state 1 on an outflow of 1e-320, which the plain back-substitution would
+# overflow on, so that kernel goes to the exponent-keeping one.
 TINY = uniform_problem(SignalModel.from_rows([[1.0, 1e-160], [1e-160, 1.0]]))
-OVERFLOWING_TABLE = [[0, 1], [2, 1], [0, 1]]
+SUBNORMAL_TABLE = [[0, 1], [2, 1], [0, 1]]
 
 
-def test_a_table_whose_row_overflows_scores_inf_and_the_winner_is_exact():
-    onehot, losses = search._scored_tables(TINY, 3)
-    (idx,) = np.flatnonzero((onehot.argmax(axis=-1) == OVERFLOWING_TABLE).all(axis=(1, 2)))
-    assert losses[idx] == np.inf
+def test_a_table_with_a_subnormal_pivot_outflow_scores_its_exact_loss():
+    tables, losses = search._scored_tables(TINY, 3)
+    (idx,) = np.flatnonzero((tables == SUBNORMAL_TABLE).all(axis=(1, 2)))
+    exact = search._exact_result(TINY, np.eye(3)[tables[idx]], trace=()).loss
+    assert losses[idx] == pytest.approx(exact, rel=1e-12, abs=0.0)
     result = enumerate_deterministic(TINY, 3)
     assert np.isfinite(result.loss)
     assert result.loss == utility_loss(TINY, result.mechanism)
@@ -286,12 +289,53 @@ def test_a_table_whose_row_overflows_scores_inf_and_the_winner_is_exact():
 def test_scores_match_exact_losses_on_a_slow_binary_model(m_size):
     """The shortlist and a seeded sample of 0.999/0.001 scores, against re-solves."""
     problem = uniform_problem(SignalModel.from_rows([[0.999, 0.001], [0.001, 0.999]]))
-    onehot, losses = search._scored_tables(problem, m_size)
+    tables, losses = search._scored_tables(problem, m_size)
     shortlist = np.flatnonzero(losses <= losses.min() + 1e-9)
     sample = np.random.default_rng(m_size).choice(len(losses), size=200, replace=False)
     for idx in np.union1d(shortlist, sample):
-        exact = search._exact_result(problem, onehot[idx], trace=()).loss
+        exact = search._exact_result(problem, np.eye(m_size)[tables[idx]], trace=()).loss
         assert abs(losses[idx] - exact) <= 1e-13, idx
+
+
+@pytest.mark.parametrize("tiny_mass", [1e-310, 1e-320])
+def test_every_table_scores_its_exact_loss_at_a_subnormal_mass(tiny_mass):
+    """Signal 2 arrives in world 0 with a subnormal mass, so many of the
+    8,022 kernels eliminate on subnormal outflows and feeds.  None scores
+    inf, and each score is the chain solver's loss for its table."""
+    mass = [[0.6, 0.4 - tiny_mass, tiny_mass], [0.3, 0.3, 0.4]]
+    problem = uniform_problem(SignalModel.from_rows(mass))
+    tables, losses = search._scored_tables(problem, 3)
+    assert len(tables) == 8022 and np.isfinite(losses).all()
+    for table, loss in zip(tables, losses.tolist()):
+        exact = search._exact_result(problem, np.eye(3)[table], trace=()).loss
+        assert loss == pytest.approx(exact, rel=1e-12, abs=0.0), table.tolist()
+
+
+@pytest.mark.parametrize(
+    "mass, m_size",
+    [
+        ([[0.8, 0.2], [0.2, 0.8]], 3),
+        ([[0.8, 0.2], [0.2, 0.8]], 4),
+        ([[0.8, 0.2], [0.2, 0.8]], 5),
+        ([[0.5, 0.25, 0.25], [0.25, 0.5, 0.25], [0.25, 0.25, 0.5]], 3),
+        ([[0.5, 0.25, 0.25], [0.25, 0.5, 0.25], [0.25, 0.25, 0.5]], 4),
+        ([[0.4, 0.3, 0.2, 0.1], [0.1, 0.2, 0.3, 0.4]], 3),
+        ([[0.6, 0.4 - 1e-320, 1e-320], [0.3, 0.3, 0.4]], 3),
+    ],
+    ids=["binary-3", "binary-4", "binary-5", "ternary-3", "ternary-4", "four-3", "subnormal-3"],
+)
+def test_table_kernels_add_the_masses_as_the_one_hot_product_does(mass, m_size):
+    """Each signal's mass added at the successors, in signal order, gives
+    the kernels of ``einsum`` over the one-hot tables bit for bit, on up to
+    3,000 canonical tables and 1,000 random ones."""
+    mass = SignalModel.from_rows(mass).mass
+    alphabet = mass.shape[1]
+    tables = np.random.default_rng(m_size).integers(m_size, size=(1000, m_size, alphabet))
+    if m_size * alphabet <= 10:  # ternary m = 4 has 2 million canonical tables
+        tables = np.concatenate([_canonical_tables(m_size, alphabet)[:3000], tables])
+    onehot = tables[..., None] == np.arange(m_size)
+    expected = np.einsum("ws,tmsj->twmj", mass, onehot)
+    assert search._table_kernels(mass, tables).tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("name", sorted(FROZEN_WINNERS))
