@@ -1,12 +1,15 @@
 """Time exhaustive enumeration and check each winner against its frozen table.
 
-Cases are binary 0.8/0.2 at m = 3, 4 and 5 and the skewed ternary
+Cases are binary 0.8/0.2 at m = 3, 4 and 5, the skewed ternary
 instance (``symmetric_model(3, 2.0)``, prior ``[0.499, 0.499, 0.002]``) at
-m = 3.  Each winner's transition table, decision and loss must equal the
-frozen ones: binary m = 3 is 1/7, m = 4 is 1/17, m = 5 is the
-``build_line`` ladder (states numbered from its other end) at 13/341, and
-the skewed m = 3 is 201/700.  ``seconds`` is the best of ``--repeats``
-calls of ``enumerate_deterministic``.  A winner that differs exits non-zero.
+m = 3, and a dominated stake at m = 3: two worlds of utility 1.942 and
+0.032 under ternary signals, where all 8,022 tables tie to within a few ulps.
+Each winner's transition table, decision and loss must equal the frozen
+ones: binary m = 3 is 1/7, m = 4 is 1/17, m = 5 is the ``build_line``
+ladder (states numbered from its other end) at 13/341, the skewed m = 3
+is 201/700, and the dominated stake is the all-zero table at 0.016.
+``seconds`` is the best of ``--repeats`` calls of
+``enumerate_deterministic``.  A winner that differs exits non-zero.
 
 Usage:
     OPENBLAS_NUM_THREADS=1 python3 scripts/enumeration_scaling.py [--repeats 3]
@@ -34,6 +37,11 @@ SKEWED = Problem(
     utilities=np.ones(3),
     prior=np.array([0.499, 0.499, 0.002]),
 )
+DOMINATED = Problem(
+    model=SignalModel.from_rows([[0.135, 0.239, 0.626], [0.481, 0.142, 0.377]]),
+    utilities=np.array([1.942, 0.032]),
+    prior=np.array([0.5, 0.5]),
+)
 # problem, memory size, and the winning table (successor per memory state
 # and signal), decision and loss
 CASES = {
@@ -43,6 +51,7 @@ CASES = {
         BINARY, 5, [[0, 1], [0, 2], [1, 3], [2, 4], [3, 4]], [0, 0, 0, 1, 1], 13 / 341
     ),
     "skewed m=3": (SKEWED, 3, [[0, 1, 0], [0, 2, 1], [1, 2, 2]], [0, 0, 1], 201 / 700),
+    "dominated m=3": (DOMINATED, 3, [[0, 0, 0]] * 3, [0, 0, 0], 0.016),
 }
 
 

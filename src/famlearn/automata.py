@@ -48,13 +48,10 @@ from .sparse import SparseRows
 #: Transition rows must sum to 1 within this tolerance.
 TRANSITION_ROW_TOL = 1e-12
 
-BLUEPRINT_FAMILIES = (
-    "line",
-    "star",
-    "noisy_star",
-    "symmetric_full",
-    "symmetric_ignorant",
-)
+#: Blueprint families built on the caller's signal model.
+MODEL_FAMILIES = ("line", "star", "noisy_star")
+#: The symmetric families generate their own model.
+BLUEPRINT_FAMILIES = MODEL_FAMILIES + ("symmetric_full", "symmetric_ignorant")
 
 
 class UpdatingMechanism:
@@ -317,22 +314,24 @@ def _confirmation_matrix(model: SignalModel, lotteries: list[Lottery]) -> np.nda
 
 def check_star_condition(
     model: SignalModel, delta: float, lotteries: list[Lottery]
-) -> None:
-    """Raise unless every branch drifts outward under every true state.
+) -> np.ndarray:
+    """Drift ratios ``(n, n)``; raise unless every branch drifts outward.
 
     The requirement is ``delta * F^w(S^w2) > sum_{w3 != w2} F^w(S^w3)``
     for all ``(w, w2)``: even the least-confirmed branch must beat the
     dampened inward pull, otherwise the geometric occupancy profile
-    breaks down.
+    breaks down.  Entry ``[w, w2]`` of the result is the left side over
+    the right, ``inf`` where the right side is 0; the first failing entry
+    in row order is the one reported.
     """
     F = _confirmation_matrix(model, lotteries)
-    totals = F.sum(axis=1)
-    for w in range(model.n_states):
-        for w2 in range(model.n_states):
-            other = totals[w] - F[w, w2]
-            ratio = np.inf if other == 0 else delta * F[w, w2] / other
-            if not ratio > 1.0:
-                raise StarConditionError(w, w2, float(ratio), float(delta))
+    other = F.sum(axis=1)[:, None] - F
+    ratios = np.divide(delta * F, other, out=np.full(F.shape, np.inf), where=other != 0)
+    bad = np.argwhere(~(ratios > 1.0))
+    if bad.size:
+        w, w2 = bad[0]
+        raise StarConditionError(int(w), int(w2), float(ratios[w, w2]), float(delta))
+    return ratios
 
 
 def minimal_star_delta(
@@ -347,14 +346,9 @@ def minimal_star_delta(
     if lotteries is None:
         lotteries = confirmatory_lotteries(model)
     F = _confirmation_matrix(model, lotteries)
-    totals = F.sum(axis=1)
-    needed = 1.0
-    for w in range(model.n_states):
-        for w2 in range(model.n_states):
-            other = totals[w] - F[w, w2]
-            if F[w, w2] > 0:
-                needed = max(needed, other / F[w, w2])
-    return safety * needed
+    other = F.sum(axis=1)[:, None] - F
+    needed = np.divide(other, F, out=np.zeros(F.shape), where=F > 0)
+    return safety * max(1.0, float(needed.max()))
 
 
 def _star_layout(n_states: int, lam: int, m_size: int | None):
@@ -564,7 +558,7 @@ def build_from_blueprint(
     mismatch cannot pass silently.
     """
     fam, p = blueprint.family, blueprint.params
-    if fam in ("line", "star", "noisy_star"):
+    if fam in MODEL_FAMILIES:
         if model is None:
             raise ValueError(f"family {fam!r} needs a signal model")
         if fam == "line":

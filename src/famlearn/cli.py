@@ -34,7 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .automata import MechanismBlueprint, UpdatingMechanism, build_from_blueprint
+from .automata import MODEL_FAMILIES, MechanismBlueprint, UpdatingMechanism, build_from_blueprint
 from .chain import Problem, _price, disagreement_probability, occupancy_profile
 from .diagnostics import (
     diagnostics_report,
@@ -254,7 +254,7 @@ class ExperimentSpec:
             )
         if "blueprint" in section:
             blueprint = MechanismBlueprint.from_json(section["blueprint"])
-            needs_model = blueprint.family in ("line", "star", "noisy_star")
+            needs_model = blueprint.family in MODEL_FAMILIES
             if needs_model and model is None:
                 raise SpecFormatError(
                     f"family {blueprint.family!r} needs problem.model in the spec"

@@ -22,11 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .automata import (
-    UpdatingMechanism,
-    _confirmation_matrix,
-    check_star_condition,
-)
+from .automata import UpdatingMechanism, check_star_condition
 from .chain import Problem, StationaryProfile
 from .errors import DomainError
 from .signals import (
@@ -292,13 +288,7 @@ def star_occupancy_closed_form(
         raise ValueError(f"state {w} out of range")
     if lotteries is None:
         lotteries = confirmatory_lotteries(model)
-    check_star_condition(model, delta, lotteries)
-    F = _confirmation_matrix(model, lotteries)
-    totals = F.sum(axis=1)
-    n = model.n_states
-    ratios = np.array(
-        [delta * F[w, w2] / (totals[w] - F[w, w2]) for w2 in range(n)]
-    )
+    ratios = check_star_condition(model, delta, lotteries)[w]
     # ratio**lam leaves the float range on deep branches: work in logs.
     levels = np.outer(np.log(ratios), np.arange(1, lam + 1))
     logs = np.concatenate(([0.0], levels.ravel()))

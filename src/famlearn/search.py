@@ -109,8 +109,11 @@ def epsilon_gap(result: SearchResult, reference_loss: float) -> float:
     """Suboptimality of ``result`` against a trusted reference loss.
 
     Clamped at zero: beating the reference means the reference was loose
-    (or class-restricted), not that the gap is negative.
+    (or class-restricted), not that the gap is negative.  A reference that
+    is not finite certifies nothing, so it raises ``ValueError``.
     """
+    if not math.isfinite(reference_loss):
+        raise ValueError(f"reference_loss must be finite, got {reference_loss!r}")
     return max(0.0, result.loss - reference_loss)
 
 
@@ -212,8 +215,10 @@ def enumerate_deterministic(
 
     Every canonical transition table, one per relabelling class, is scored
     in vectorized slices (decisions by pointwise argmax, which is never
-    worse than any fixed decision rule), then each near-tied table is
-    re-solved exactly and the lowest-coded winner is returned.  The
+    worse than any fixed decision rule).  The scores are the chain solver's
+    own losses, so the winner is the lowest-coded table scoring within 2
+    ulps (relative) of the minimum, the first exact zero when the minimum
+    is 0, and it alone is priced again through the chain solver.  The
     result's ``epsilon_gap`` is 0 *relative to the deterministic class*;
     stochastic mechanisms may still do better.
     """
@@ -223,11 +228,8 @@ def enumerate_deterministic(
     if n_tables > budget:
         raise BudgetExceededError(n_tables, budget)
     tables, losses = _scored_tables(problem, m_size)
-    best = None
-    for idx in np.flatnonzero(losses <= losses.min() + 1e-9):
-        candidate = _exact_result(problem, np.eye(m_size)[tables[idx]], trace=())
-        if best is None or candidate.loss < best.loss - 1e-15:
-            best = candidate
+    idx = np.argmax(losses <= losses.min() * (1 + 4.5e-16))
+    best = _exact_result(problem, np.eye(m_size)[tables[idx]], trace=())
     return replace(best, trace=((0, best.loss),), epsilon_gap=0.0)
 
 

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -1114,6 +1115,21 @@ def test_search_enumerate(tmp_path):
     trace = (tmp_path / "trace.csv").read_text().splitlines()
     assert trace[0] == "iteration,best_loss"
     assert len(trace) == 2
+
+
+@pytest.mark.parametrize("reference", [math.nan, math.inf, -math.inf])
+def test_search_refuses_a_reference_loss_that_is_not_finite(tmp_path, capsys, reference):
+    """``json`` reads NaN and Infinity, which would certify a gap of 0."""
+    spec = write_spec(
+        tmp_path,
+        {
+            "problem": {"model": BINARY_JSON},
+            "search": {"method": "enumerate", "m_size": 2, "reference_loss": reference},
+        },
+    )
+    assert run("search", spec, tmp_path) == 1
+    assert "reference_loss" in capsys.readouterr().err
+    assert not (tmp_path / "search.json").exists()
 
 
 def test_search_budget_exceeded_is_domain_exit(tmp_path):

@@ -221,7 +221,7 @@ def test_cesaro_rows_reach_closed_form_limits_of_slow_kernels(name):
     np.testing.assert_allclose(_gth_stack(stack)[0], limit, rtol=0, atol=1e-14)
 
 
-def test_cesaro_rows_cap_the_squarings_for_a_tiny_entry_without_warning():
+def test_gth_stack_takes_a_tiny_entry_beside_a_periodic_kernel_without_warning():
     """An entry of 1e-300 next to a periodic kernel in one stack."""
     stack = np.array(
         [[[1.0, 1e-300, 0.0], [0.5, 0.5, 0.0], [0.0, 0.0, 1.0]], np.eye(3)[[1, 2, 0]]]
@@ -233,7 +233,7 @@ def test_cesaro_rows_cap_the_squarings_for_a_tiny_entry_without_warning():
     assert (rows >= 0.0).all()
 
 
-def test_cesaro_rows_of_single_state_kernels_are_ones():
+def test_gth_stack_of_single_state_kernels_are_ones():
     stack = np.ones((3, 1, 1))
     np.testing.assert_array_equal(_gth_stack(stack), np.ones((3, 1)))
 
@@ -261,7 +261,7 @@ def sparse_kernels(draw):
 @example(np.array([[0.5, 0.2, 0.3], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]))  # two classes reached
 @example(np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]))  # one class unreached
 @example(np.array([[1 - 1e-12, 1e-12, 0, 0], [0, 0, 1, 0], [0.5, 0, 0, 0.5], [0, 0, 0, 1]]))
-def test_cesaro_rows_match_the_chain_solver(q):
+def test_gth_stack_matches_the_chain_solver(q):
     got = _gth_stack(q.copy()[None])[0]
     want = chain.stationary(q, 0)
     np.testing.assert_array_equal(got == 0.0, want == 0.0)
@@ -348,8 +348,7 @@ def test_enumerate_returns_the_frozen_winner(name):
     assert result.loss == pytest.approx(loss, abs=1e-12)
 
 
-def test_enumerate_resolves_each_tied_class_once(monkeypatch):
-    """Binary m = 4 ties 24 raw tables in 4 canonical classes."""
+def count_exact_prices(monkeypatch):
     calls = []
     exact = search._exact_result
 
@@ -358,9 +357,31 @@ def test_enumerate_resolves_each_tied_class_once(monkeypatch):
         return exact(*args, **kwargs)
 
     monkeypatch.setattr(search, "_exact_result", counted)
+    return calls
+
+
+def test_enumerate_prices_only_its_winner(monkeypatch):
+    """Binary m = 4 ties 24 raw tables in 4 canonical classes."""
+    calls = count_exact_prices(monkeypatch)
     result = enumerate_deterministic(uniform_problem(BINARY), 4)
-    assert len(calls) == 4
+    assert len(calls) == 1
     assert result.loss == pytest.approx(1 / 17, abs=1e-12)
+
+
+def test_a_dominated_stake_ties_every_table_and_prices_the_first(monkeypatch):
+    """World 0's stake dominates, so all 8,022 ternary m = 3 tables score
+    0.016 to within a few ulps, and the lowest-coded table, all zeros, wins."""
+    problem = Problem(
+        model=SignalModel.from_rows([[0.135, 0.239, 0.626], [0.481, 0.142, 0.377]]),
+        utilities=np.array([1.942, 0.032]),
+        prior=np.array([0.5, 0.5]),
+    )
+    calls = count_exact_prices(monkeypatch)
+    result = enumerate_deterministic(problem, 3)
+    assert len(calls) == 1
+    assert result.mechanism.transition.argmax(axis=2).tolist() == [[0, 0, 0]] * 3
+    assert result.mechanism.decision.tolist() == [0, 0, 0]
+    assert result.loss == 0.016
 
 
 @settings(max_examples=25, deadline=None)
