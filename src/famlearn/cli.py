@@ -493,6 +493,9 @@ def cmd_search(spec: ExperimentSpec, out: Path, seed: int, fmt: str) -> int:
     if section is None:
         raise SpecFormatError("search needs a search section with m_size")
     m_size = int(section["m_size"])
+    reference = float(section.get("reference_loss", 0.0))
+    if not np.isfinite(reference):
+        raise ValueError(f"reference_loss must be finite, got {reference!r}")
     problem = spec.problem()
     method = section.get("method", "anneal")
     if method == "enumerate":
@@ -506,7 +509,7 @@ def cmd_search(spec: ExperimentSpec, out: Path, seed: int, fmt: str) -> int:
         }
         result = local_search(problem, SearchConfig(m_size=m_size, seed=seed, **knobs))
     if "reference_loss" in section:
-        gap = epsilon_gap(result, float(section["reference_loss"]))
+        gap = epsilon_gap(result, reference)
         result = replace(result, epsilon_gap=gap)
     write_json(out / "search.json", result.to_json())
     write_csv(

@@ -39,6 +39,10 @@ from .errors import BudgetExceededError
 DEFAULT_ENUMERATION_BUDGET = 1_000_000
 #: Kernels scored at once by enumeration; bounds its working memory.
 _SCORE_KERNELS = 2**12
+#: Enumeration's winner is the lowest-coded table scoring within this of the
+#: minimum: scores are within 5.3e-16 of the exact losses, and a table that
+#: scores near 1e-300 keeps beating a later one whose outflow underflowed to 0.
+_TIE_ATOL = 1e-15
 
 
 @dataclass(frozen=True)
@@ -216,11 +220,11 @@ def enumerate_deterministic(
     Every canonical transition table, one per relabelling class, is scored
     in vectorized slices (decisions by pointwise argmax, which is never
     worse than any fixed decision rule).  The scores are the chain solver's
-    own losses, so the winner is the lowest-coded table scoring within 2
-    ulps (relative) of the minimum, the first exact zero when the minimum
-    is 0, and it alone is priced again through the chain solver.  The
-    result's ``epsilon_gap`` is 0 *relative to the deterministic class*;
-    stochastic mechanisms may still do better.
+    own losses, so the winner is the lowest-coded table scoring within
+    ``_TIE_ATOL`` (1e-15) of the minimum, and it alone is priced again
+    through the chain solver.  The result's ``epsilon_gap`` is 0
+    *relative to the deterministic class*; stochastic mechanisms may still
+    do better.
     """
     if m_size < 1:
         raise ValueError(f"m_size must be >= 1, got {m_size}")
@@ -228,7 +232,7 @@ def enumerate_deterministic(
     if n_tables > budget:
         raise BudgetExceededError(n_tables, budget)
     tables, losses = _scored_tables(problem, m_size)
-    idx = np.argmax(losses <= losses.min() * (1 + 4.5e-16))
+    idx = np.argmax(losses <= losses.min() + _TIE_ATOL)
     best = _exact_result(problem, np.eye(m_size)[tables[idx]], trace=())
     return replace(best, trace=((0, best.loss),), epsilon_gap=0.0)
 

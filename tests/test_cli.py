@@ -1118,8 +1118,10 @@ def test_search_enumerate(tmp_path):
 
 
 @pytest.mark.parametrize("reference", [math.nan, math.inf, -math.inf])
-def test_search_refuses_a_reference_loss_that_is_not_finite(tmp_path, capsys, reference):
-    """``json`` reads NaN and Infinity, which would certify a gap of 0."""
+def test_search_refuses_a_reference_loss_that_is_not_finite(tmp_path, capsys, monkeypatch, reference):
+    """``json`` reads NaN and Infinity, which would certify a gap of 0.  The
+    reference is checked before the search runs."""
+    monkeypatch.setattr(cli, "enumerate_deterministic", None)
     spec = write_spec(
         tmp_path,
         {

@@ -381,7 +381,27 @@ def test_a_dominated_stake_ties_every_table_and_prices_the_first(monkeypatch):
     assert len(calls) == 1
     assert result.mechanism.transition.argmax(axis=2).tolist() == [[0, 0, 0]] * 3
     assert result.mechanism.decision.tolist() == [0, 0, 0]
-    assert result.loss == 0.016
+    assert result.loss == pytest.approx(0.016, abs=1e-12)
+
+
+def test_a_table_scored_near_1e_300_beats_a_later_false_root():
+    """Each world's rows carry a 1e-300 mass.  Tables 11 and 80 underflow an
+    outflow row to zero and score a false 0.0 (their mpmath loss is 0.117),
+    while lower-coded tables score near 1e-300, inside the tie window, so
+    the winner is one of those and its loss is its mpmath loss."""
+    mass = [[1.0, 1.2009921083688063e-300], [2.037946763188666e-300, 1.0]]
+    problem = Problem(
+        model=SignalModel.from_rows(mass),
+        utilities=np.ones(2),
+        prior=np.array([0.11702536363769916, 0.8829746363623009]),
+    )
+    result = enumerate_deterministic(problem, 3)
+    mech = result.mechanism
+    assert mech.transition.argmax(axis=2).tolist() == [[0, 1], [0, 1], [0, 0]]
+    kernels = [oracles.state_kernel(mech.transition, row) for row in problem.model.mass]
+    occupancy = np.array([oracles.absorption_mp(q, 0) for q in kernels], dtype=float)
+    exact = chain._price(problem.stakes, occupancy, mech.decision)[1]
+    assert result.loss == pytest.approx(exact, rel=1e-12, abs=0.0)
 
 
 @settings(max_examples=25, deadline=None)
