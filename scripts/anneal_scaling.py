@@ -3,13 +3,13 @@
 Each anneal is ``famlearn.local_search`` on the 0.8/0.2 binary problem with
 uniform prior and utilities, at memory sizes ``--sizes``, with ``--restarts``
 restarts of ``--iterations`` proposals each and seed ``--seed``: by default
-the six anneals of the ``search`` bench workload.  A step where no
-restart's proposed row moves prices nothing; the share of such steps is
-counted on one run that counts the calls of ``search._fast_loss`` (one
-prices the starting tensors).  The same run counts each restart's
-``standard_gamma`` calls: one per window of steps, and more where a
-restart accepts a row the rest of its window reads again.  Each time is
-the median over ``--repeats`` uncounted runs.
+the six anneals of the ``search`` bench workload.  A step whose proposed
+row does not move prices nothing; the share of such steps over all
+restarts is counted on one run that counts the calls of
+``search._fast_loss`` (one per restart prices its starting tensor).  The
+same run counts each restart's ``standard_gamma`` calls: one per window
+of steps, and more where a restart accepts a row the rest of its window
+reads again.  Each time is the median over ``--repeats`` uncounted runs.
 
 Usage:
     OPENBLAS_NUM_THREADS=1 python3 scripts/anneal_scaling.py [--sizes 1 2 3 4 5 6]
@@ -61,7 +61,8 @@ def counted_run(problem, config) -> tuple[float, float, float]:
         loss = local_search(problem, config).loss
     finally:
         search._fast_loss, np.random.default_rng = fast_loss, default_rng
-    skipped = round(1.0 - (len(solves) - 1) / config.iterations, 4)
+    steps = config.restarts * config.iterations
+    skipped = round(1.0 - (len(solves) - config.restarts) / steps, 4)
     return skipped, len(gammas) / config.restarts, loss
 
 

@@ -487,8 +487,8 @@ def symmetric_model(n: int, info: float) -> SignalModel:
     """Alphabet of one signal per state; own signal ``info`` times likelier."""
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
-    if not info > 1.0:
-        raise ValueError(f"informativeness must exceed 1, got {info}")
+    if not 1.0 < info < math.inf:
+        raise ValueError(f"informativeness info must be finite and exceed 1, got {info}")
     base = 1.0 / (n + info - 1.0)
     mass = np.full((n, n), base)
     np.fill_diagonal(mass, info * base)

@@ -282,6 +282,8 @@ def star_occupancy_closed_form(
         raise ValueError(f"branch depth must be >= 1, got {lam}")
     if not delta > 1.0:
         raise ValueError(f"star mechanisms need delta > 1, got {delta}")
+    if math.isinf(delta):
+        raise ValueError("delta must be finite in the star closed form, got inf")
     if model.n_states < 2:
         raise ValueError("star mechanism needs at least 2 states of the world")
     if not 0 <= w < model.n_states:
@@ -411,8 +413,8 @@ def symmetric_utilities(n: int, info: float):
     """
     if n < 4 or n % 2:
         raise ValueError(f"need an even n >= 4, got {n}")
-    if not info > 1.0:
-        raise ValueError(f"informativeness must exceed 1, got {info}")
+    if not 1.0 < info < math.inf:
+        raise ValueError(f"informativeness info must be finite and exceed 1, got {info}")
     try:
         u_full = info / (n + info - 1.0)
         bulk = n + 2.0 * info - 4.0

@@ -10,11 +10,10 @@ be attained, so nothing here ever claims it.  Instead:
   chain solver's dense elimination, so every score is an exact loss;
 * :func:`local_search` runs restarted simulated annealing over the full
   stochastic class, reporting the best loss found and an improvement
-  trace; its restarts advance in lockstep, each on its own spawned RNG
-  stream (a window of proposals per gamma call, the rest drawn in
-  chunks), with one batched solve pricing every restart's proposal at
-  each step where some proposal moves and none elsewhere, and the result
-  equals running them one after another;
+  trace; its restarts run one after another, each on its own spawned
+  RNG stream (a window of proposals per gamma call, the rest drawn in
+  chunks), with one solve pricing each proposal that moves a row and
+  none elsewhere;
 * :func:`epsilon_gap` turns a reference loss (enumeration, a closed
   form, or a bound) into the certified suboptimality of a result.
 
@@ -56,8 +55,8 @@ class SearchConfig:
     faces when a row is already extreme, the walk can approach the
     deterministic corners where optima often sit.  A row on a corner is
     mostly proposed back onto that corner; proposals are drawn a window of
-    steps at a time, and a step where no restart's row moves costs no solve
-    and no loop iteration.  ``restarts`` independent walks of
+    steps at a time, and a step whose row does not move costs no solve and
+    no loop iteration.  ``restarts`` independent walks of
     ``iterations`` proposals each run from ``seed``; a restart's walk does
     not depend on how many restarts run.  The temperature starts at
     ``initial_temperature`` and is multiplied by ``cooling`` every step.
@@ -242,43 +241,32 @@ def enumerate_deterministic(
 # ---------------------------------------------------------------------------
 
 
-def _fast_loss(problem: Problem, transitions: np.ndarray, stakes, eye, unit) -> np.ndarray:
-    """Loss of each stacked (generically irreducible) tensor, all solved at once.
+def _fast_loss(problem: Problem, transition: np.ndarray, stakes, eye, unit) -> float:
+    """Loss of one (generically irreducible) ``(m, k, m)`` tensor.
 
-    ``transitions`` is ``(restarts, m, k, m)``; one ``linalg.solve`` covers
-    every restart and world.  For an irreducible kernel the stationary
-    system with a normalization row replacing one equation is nonsingular,
-    so no class analysis is needed — this is the annealer's hot path.
-    Proposals that wander onto a reducible boundary make the system
-    singular or the answer invalid; those score ``inf`` and are simply
-    never accepted.  A singular system makes the stacked solve raise, so
-    the stack is then solved restart by restart and only the singular
-    restarts score ``inf``.  The solution is clipped at zero and
-    normalised, each memory state takes its pointwise best action, and
-    the loss sums the stake-weighted occupancy decided wrongly, as
-    :func:`chain._price` does, without forming the utility.  Each
-    restart's loss is bit for bit what the same tensor scores alone.
+    One ``linalg.solve`` covers every world.  For an irreducible kernel the
+    stationary system with a normalization row replacing one equation is
+    nonsingular, so no class analysis is needed — this is the annealer's
+    hot path.  Proposals that wander onto a reducible boundary make the
+    system singular or the answer invalid; those score ``inf`` and are
+    simply never accepted.  The solution is clipped at zero, normalised
+    and priced by :func:`chain._price`, each memory state taking its
+    pointwise best action.
     """
-    kernels = np.einsum("ws,rmsj->rwjm", problem.model.mass, transitions)
+    kernels = np.einsum("ws,msj->wjm", problem.model.mass, transition)
     a = kernels - eye
-    a[..., -1, :] = 1.0
+    a[:, -1, :] = 1.0
     try:
         pi = np.linalg.solve(a, unit)[..., 0]
     except np.linalg.LinAlgError:
-        pi = np.zeros(a.shape[:-1])  # an all-zero row scores inf below
-        for restart, system in enumerate(a):
-            try:
-                pi[restart] = np.linalg.solve(system, unit)[..., 0]
-            except np.linalg.LinAlgError:
-                pass
+        return math.inf
     np.clip(pi, 0.0, None, out=pi)
-    totals = pi.sum(axis=-1, keepdims=True)
-    positive = totals > 0.0
-    np.divide(pi, totals, out=pi, where=positive)
-    weighted = stakes[:, None] * pi
-    wrong = weighted.argmax(axis=-2)[..., None, :] != np.arange(stakes.size)[:, None]
-    loss = weighted.sum(axis=(-2, -1), where=wrong)
-    return np.where(positive.all(axis=(1, 2)) & np.isfinite(loss), loss, math.inf)
+    totals = pi.sum(axis=1, keepdims=True)
+    if not (totals > 0.0).all():
+        return math.inf
+    pi /= totals
+    loss = float(_price(stakes, pi)[1])
+    return loss if math.isfinite(loss) else math.inf
 
 
 #: Keeps Dirichlet concentrations positive when a row entry hits zero.
@@ -318,127 +306,107 @@ def local_search(problem: Problem, config: SearchConfig) -> SearchResult:
 
     Each proposal redraws one (memory, signal) row from a Dirichlet
     centered on its current value, and the decision rule is re-optimized
-    inside every evaluation.  Every restart draws from its own spawned RNG
-    stream: every ``_CHUNK`` steps, that chunk's row cells and then its
-    acceptance uniforms, and at every step the row's gamma draws over its
-    concentrations, divided by their sum (or, when every gamma draw
-    underflows to zero, one ``dirichlet`` call).  So a restart's walk does
-    not depend on how many restarts run.  The gamma draws of ``_WINDOW``
-    steps come from one ``standard_gamma`` call, over the concentrations
-    at the window's start; numpy fills the block in C order, so these are
-    the draws of one call per step while the tensor stays unchanged.  When
-    a restart accepts a new row that a later step of the window reads, its
-    generator goes back to the last state it saved, replays its draws up
-    to that later step, saves the state there and draws the rest afresh.
-    The restarts advance in lockstep, and the loop visits only the steps
-    where some restart's proposed row differs from its current row, since
-    the same tensors price to the same losses.  At each, one batched
-    :func:`_fast_loss` prices every restart's proposal, and acceptance and
-    best-tracking are array operations over the restarts.  The answer is a
-    pure function of the config and equals running the restarts one after
-    another; the winner is the lowest loss with ties going to the earlier
-    restart, and the trace numbers restart ``r``'s iteration ``it`` as
-    ``r * (iterations + 1) + it`` and the rounding pass as
-    ``restarts * (iterations + 1)``, so its numbers strictly increase.  A
-    final rounding pass prices the deterministic table nearest the best
-    tensor and keeps it when it does at least as well — optima frequently
-    sit exactly on those corners, which a stochastic walk only approaches.
+    inside every evaluation.  The restarts run one after another, each on
+    its own spawned RNG stream, so a restart's walk does not depend on how
+    many restarts run.  Every ``_CHUNK`` steps a restart draws that chunk's
+    row cells and then its acceptance uniforms, and at every step the
+    row's gamma draws over its concentrations, divided by their sum (or,
+    when every gamma draw underflows to zero, one ``dirichlet`` call).  The
+    gamma draws of ``_WINDOW`` steps come from one ``standard_gamma`` call,
+    over the concentrations at the window's start; numpy fills the block in
+    C order, so these are the draws of one call per step while the tensor
+    stays unchanged.  When the walk accepts a new row that a later step of
+    the window reads, the generator goes back to the last state it saved,
+    replays its draws up to that later step, saves the state there and
+    draws the rest afresh.  Only the steps whose proposed row differs from
+    the current row are visited, since the same tensor prices to the same
+    loss, and :func:`_fast_loss` prices each visited proposal.  The answer
+    is a pure function of the config; the winner is the lowest loss with
+    ties going to the earlier restart, and the trace numbers restart
+    ``r``'s iteration ``it`` as ``r * (iterations + 1) + it`` and the
+    rounding pass as ``restarts * (iterations + 1)``, so its numbers
+    strictly increase.  A final rounding pass prices the deterministic
+    table nearest the best tensor and keeps it when it does at least as
+    well — optima frequently sit exactly on those corners, which a
+    stochastic walk only approaches.
     """
     m, n, k = config.m_size, problem.n_states, problem.model.alphabet_size
     stakes = problem.stakes
     eye = np.broadcast_to(np.eye(m), (n, m, m)).copy()
     unit = np.zeros((n, m, 1))
     unit[:, -1] = 1.0
-
-    streams = np.random.SeedSequence(config.seed).spawn(config.restarts)
-    rngs = [np.random.default_rng(stream) for stream in streams]
-    restart = np.arange(config.restarts)
-    current = np.stack([rng.dirichlet(np.ones(m), size=(m, k)) for rng in rngs])
-    current_loss = _fast_loss(problem, current, stakes, eye, unit)
-    best = current.copy()
-    best_loss = np.full(config.restarts, math.inf)
-    events = []  # (it, each restart's new best loss, inf where it has none)
-
-    def record(it):
-        improved = current_loss < best_loss
-        if improved.any():
-            best[improved] = current[improved]
-            best_loss[improved] = current_loss[improved]
-            events.append((it, np.where(improved, current_loss, math.inf)))
-
-    record(0)
-    rows = current.reshape(-1, m)  # a view: row r * m * k + cell is restart r's cell
     step_scale = max(config.step_scale, _STEP_SCALE_FLOOR)
-    temperature = config.initial_temperature
-    for start in range(0, config.iterations, _CHUNK):
-        size = min(_CHUNK, config.iterations - start)
-        cells = np.stack([rng.integers(m * k, size=_CHUNK) for rng in rngs])[:, :size]
-        cells += restart[:, None] * (m * k)
-        uniforms = np.stack([rng.random(_CHUNK) for rng in rngs])
-        temperatures = np.multiply.accumulate(np.append(temperature, [config.cooling] * size))
-        temperature = temperatures[-1]
-        for lo in range(0, size, _WINDOW):
-            window = cells[:, lo : lo + _WINDOW]  # (restarts, steps) row indices
-            old = rows[window]
-            alpha = old / step_scale + _ALPHA_FLOOR
-            states = [rng.bit_generator.state for rng in rngs]
-            drawn = np.stack([_draw_rows(*args) for args in zip(rngs, states, alpha)])
-            moved = (drawn != old).any(axis=2)
-            saved_at = np.zeros(config.restarts, dtype=np.int64)  # the step `states` precede
-            width = window.shape[1]
-            stale = np.full(config.restarts, width)  # first step drawn from an old row
-            t = -1
-            while True:
-                ahead = moved[:, t + 1 :].any(axis=0).nonzero()[0]
-                until = t + 1 + ahead[0] if ahead.size else width - 1
-                late = (stale <= until).nonzero()[0]
-                # A restart that accepted a row a later step of the window
-                # reads drew that step and the rest from stale
-                # concentrations.  When the walk reaches that step, nothing
-                # before it can change any more: replay the restart's draws
-                # up to it, save the state there and draw the rest afresh.
-                for r in late:
-                    rng, fresh = rngs[r], stale[r]
-                    rng.bit_generator.state = states[r]
-                    _draw_rows(rng, states[r], alpha[r, saved_at[r] : fresh])
-                    states[r], saved_at[r], stale[r] = rng.bit_generator.state, fresh, width
-                    now = rows[window[r, fresh:]]
-                    alpha[r, fresh:] = now / step_scale + _ALPHA_FLOOR
-                    drawn[r, fresh:] = _draw_rows(rng, states[r], alpha[r, fresh:])
-                    moved[r, fresh:] = (drawn[r, fresh:] != now).any(axis=1)
-                if late.size:
-                    continue
-                if not ahead.size:
-                    break
-                t = until  # the next step where some restart's row moves
-                cell = window[:, t]
-                proposal = current.copy()
-                proposal.reshape(-1, m)[cell] = drawn[:, t]
-                proposal_loss = _fast_loss(problem, proposal, stakes, eye, unit)
-                # inf - inf, a zero temperature and exp of a gain are all
-                # decided by the comparisons alone
-                with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-                    delta = proposal_loss - current_loss
-                    hot = np.exp(-delta / temperatures[lo + t + 1])
-                    accept = (delta <= 0.0) | (uniforms[:, lo + t] < hot)
-                current[accept] = proposal[accept]
-                current_loss[accept] = proposal_loss[accept]
-                record(start + lo + t + 1)
-                reread = window[:, t + 1 :] == cell[:, None]
-                changed = accept & moved[:, t] & reread.any(axis=1)
-                if changed.any():
-                    stale[changed] = np.minimum(stale, t + 1 + reread.argmax(axis=1))[changed]
 
-    # Replay the restarts in order: an improvement counts only when it
-    # beats every earlier restart too, as it would have run alone.
-    steps = np.array([it for it, _ in events], dtype=np.int64)
-    iterations = (steps + (config.iterations + 1) * restart[:, None]).ravel()
-    bests = np.array([loss for _, loss in events]).reshape(len(events), config.restarts)
-    losses = bests.T.ravel()
-    keep = losses < np.minimum.accumulate(np.append(math.inf, losses))[:-1]
-    trace = list(zip(iterations[keep].tolist(), losses[keep].tolist()))
-    winner = np.flatnonzero(keep)[-1] // len(events) if trace else 0
-    best_transition = best[winner]
+    best_transition, best_loss, trace = None, math.inf, []
+    for r, stream in enumerate(np.random.SeedSequence(config.seed).spawn(config.restarts)):
+        rng = np.random.default_rng(stream)
+        current = rng.dirichlet(np.ones(m), size=(m, k))
+        current_loss = _fast_loss(problem, current, stakes, eye, unit)
+        if best_transition is None:  # kept only if no tensor ever prices
+            best_transition = current.copy()
+        first = r * (config.iterations + 1)
+        if current_loss < best_loss:
+            best_transition, best_loss = current.copy(), current_loss
+            trace.append((first, best_loss))
+        rows = current.reshape(-1, m)  # a view: rows[cell] is the row at cell
+        temperature = config.initial_temperature
+        for start in range(0, config.iterations, _CHUNK):
+            size = min(_CHUNK, config.iterations - start)
+            cells = rng.integers(m * k, size=_CHUNK)[:size]
+            uniforms = rng.random(_CHUNK)
+            temperatures = np.multiply.accumulate(np.append(temperature, [config.cooling] * size))
+            temperature = temperatures[-1]
+            for lo in range(0, size, _WINDOW):
+                window = cells[lo : lo + _WINDOW]
+                width = window.size
+                old = rows[window]
+                alpha = old / step_scale + _ALPHA_FLOOR
+                state = rng.bit_generator.state
+                drawn = _draw_rows(rng, state, alpha)
+                moved = (drawn != old).any(axis=1)
+                saved_at = 0  # the step `state` precedes
+                stale = width  # first step drawn from an old row
+                t = 0  # first step not yet visited
+                while True:
+                    ahead = moved[t:].nonzero()[0]
+                    until = t + int(ahead[0]) if ahead.size else width - 1
+                    if stale <= until:
+                        # The walk reached a step drawn from a row accepted
+                        # since, and nothing before it can change any more:
+                        # replay the draws up to it, save the state there
+                        # and draw the rest afresh.
+                        rng.bit_generator.state = state
+                        _draw_rows(rng, state, alpha[saved_at:stale])
+                        state, saved_at = rng.bit_generator.state, stale
+                        now = rows[window[stale:]]
+                        alpha[stale:] = now / step_scale + _ALPHA_FLOOR
+                        drawn[stale:] = _draw_rows(rng, state, alpha[stale:])
+                        moved[stale:] = (drawn[stale:] != now).any(axis=1)
+                        stale = width
+                        continue
+                    if not ahead.size:
+                        break
+                    step, t = until, until + 1  # the next step whose row moves
+                    cell = window[step]
+                    proposal = current.copy()
+                    proposal.reshape(-1, m)[cell] = drawn[step]
+                    proposal_loss = _fast_loss(problem, proposal, stakes, eye, unit)
+                    heat = temperatures[lo + t]  # cooled through this step
+                    # inf - inf, a zero temperature and exp of a gain are all
+                    # decided by the comparisons alone
+                    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+                        delta = np.float64(proposal_loss) - current_loss
+                        accept = delta <= 0.0 or uniforms[lo + step] < np.exp(-delta / heat)
+                    if not accept:
+                        continue
+                    rows[cell] = drawn[step]
+                    current_loss = proposal_loss
+                    if current_loss < best_loss:
+                        best_transition, best_loss = current.copy(), current_loss
+                        trace.append((first + start + lo + t, best_loss))
+                    reread = (window[t:] == cell).nonzero()[0]
+                    if reread.size:
+                        stale = min(stale, t + int(reread[0]))
 
     result = _exact_result(problem, best_transition, trace=trace)
     corners = np.zeros_like(best_transition)

@@ -179,6 +179,15 @@ def min_density_ratio(model: SignalModel) -> float:
     return best
 
 
+def _identical_pairs(mass: np.ndarray):
+    """Yield each state pair ``(w, w2)``, ``w < w2``, whose rows agree
+    entrywise within :data:`IDENTICAL_ROW_TOL`, by ``w`` and then ``w2``."""
+    for w in range(len(mass) - 1):
+        close = np.abs(mass[w + 1 :] - mass[w]).max(axis=1) < IDENTICAL_ROW_TOL
+        for gap in np.flatnonzero(close):
+            yield w, w + 1 + int(gap)
+
+
 def validate(model: SignalModel, varsigma: float) -> ValidationReport:
     """Check full support above ``varsigma`` and pairwise identifiability.
 
@@ -196,12 +205,7 @@ def validate(model: SignalModel, varsigma: float) -> ValidationReport:
         if abs(total - 1.0) > ROW_SUM_TOL:
             failures.append(f"row {i}: masses sum to {total!r}, not 1")
 
-    identical = []
-    for w in range(model.n_states):
-        for w2 in range(w + 1, model.n_states):
-            if np.max(np.abs(mass[w] - mass[w2])) < IDENTICAL_ROW_TOL:
-                identical.append((w, w2))
-
+    identical = list(_identical_pairs(mass))
     min_ratio = min_density_ratio(model)
     ok = (
         not failures
@@ -268,10 +272,9 @@ def confirmatory_lotteries(model: SignalModel) -> list[Lottery]:
     expected confirmation masses, so the strictness survives.
     """
     mass = model.mass
-    for w in range(model.n_states):
-        for w2 in range(w + 1, model.n_states):
-            if np.max(np.abs(mass[w] - mass[w2])) < IDENTICAL_ROW_TOL:
-                raise IdenticalRowsError(w, w2)
+    pair = next(_identical_pairs(mass), None)
+    if pair is not None:
+        raise IdenticalRowsError(*pair)
     norms = np.sqrt((mass**2).sum(axis=1))
     raw = mass / norms[:, None]
     beta = min(

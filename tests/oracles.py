@@ -8,10 +8,9 @@ from ``networkx``'s condensation, and optimal pattern losses from a
 generic numeric optimizer.  The exceptions are former
 loops kept as references for their faster replacements, which must match
 them bit for bit: :func:`sequential_anneal`, the annealer's
-restart-by-restart loop, shares the package's pricing and exact
-re-solve, because only the order of the walk, the skip of a step that
-moves nothing and the drawing of a window of steps per gamma call
-changed; and
+one-proposal-per-step loop, shares the package's pricing and exact
+re-solve, because only the skip of a step that moves nothing and the
+drawing of a window of steps per gamma call changed; and
 :func:`sequential_monte_carlo` is the Monte Carlo walk's per-row set-up
 and loop.
 Expected values in the test modules were produced by these functions
@@ -339,7 +338,7 @@ def canonical_strings(m_size: int, alphabet: int):
 
 
 def scalar_fast_loss(problem, transition, stakes, eye, unit) -> float:
-    """The annealer's former one-tensor objective, unchanged."""
+    """The annealer's one-tensor objective, written out apart from it."""
     kernels = np.einsum("ws,msj->wjm", problem.model.mass, transition)
     a = kernels - eye
     a[:, -1, :] = 1.0
@@ -365,7 +364,8 @@ def sequential_anneal(problem, config):
     divided by its sum, or one ``dirichlet`` call when every gamma draw
     underflows.  Every proposal is priced alone, with no skip for a row
     that did not move.  The trace numbers restart ``r``'s step ``it`` as
-    ``r * (iterations + 1) + it``.  The lockstep annealer must return
+    ``r * (iterations + 1) + it``.  The annealer, which draws a window of
+    steps at a time and skips the steps where no row moves, must return
     this result bit for bit.
     """
     m, n, k = config.m_size, problem.n_states, problem.model.alphabet_size

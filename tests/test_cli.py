@@ -9,6 +9,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import warnings
 from importlib import resources
 from pathlib import Path
 
@@ -1058,6 +1059,33 @@ def test_closed_forms_refuse_a_real_key_of_the_wrong_json_type(tmp_path, capsys,
     spec = write_spec(tmp_path, {"problem": {"model": BINARY_JSON}, "closed_form": section})
     assert run("closed-forms", spec, tmp_path) == 2
     assert capsys.readouterr().err.startswith(f"error: closed_form.{key} must be a number")
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize(("name", "key"), [("star", "delta"), ("symmetric", "info")])
+def test_closed_forms_refuse_an_infinite_parameter_by_name(tmp_path, capsys, name, key, fmt):
+    """These used to compute NaN and fail only when writing it."""
+    section = {**CLOSED_FORM_SECTIONS[name], key: math.inf}
+    spec = write_spec(tmp_path, {"problem": {"model": BINARY_JSON}, "closed_form": section})
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run("closed-forms", spec, out, "--format", fmt) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"{key} must be finite" in err, err
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_eval_names_an_infinite_symmetric_info_and_solves_an_infinite_star_delta(
+    tmp_path, capsys
+):
+    symmetric = {"family": "symmetric_full", "params": {"n": 4, "info": math.inf, "delta": 0.5}}
+    spec = write_spec(tmp_path, {"mechanism": {"blueprint": symmetric}})
+    assert run("eval", spec, tmp_path / "symmetric") == 1
+    assert "info must be finite" in capsys.readouterr().err
+    star = {"family": "star", "params": {"lam": 3, "delta": math.inf}}
+    payload = {"problem": {"model": BINARY_JSON}, "mechanism": {"blueprint": star}}
+    assert run("eval", write_spec(tmp_path, payload), tmp_path / "star") == 0
 
 
 @pytest.mark.parametrize(("name", "key"), [("star", "lam"), ("star", "w"), ("symmetric", "n")])

@@ -389,6 +389,21 @@ def test_star_closed_form_rejects_a_single_world():
         star_occupancy_closed_form(SignalModel.from_rows([[1 / 3, 2 / 3]]), None, 3, 2.0, 0)
 
 
+def test_infinite_closed_form_parameters_are_refused_by_name():
+    """At delta = inf the branch ratios are inf, and at info = inf the
+    utilities are inf / inf: both used to come out as NaN."""
+    model = SignalModel.from_rows([[0.8, 0.2], [0.2, 0.8]])
+    with pytest.raises(ValueError, match="delta must be finite"):
+        star_occupancy_closed_form(model, None, 3, math.inf, 0)
+    with pytest.raises(ValueError, match="info must be finite"):
+        symmetric_utilities(4, math.inf)
+    with pytest.raises(ValueError, match="info must be finite"):
+        build_symmetric_full(4, math.inf, 0.5)
+    # the star itself is a reducible chain that still solves
+    profile = occupancy_profile(uniform_problem(model), build_star(model, 3, math.inf))
+    assert np.isfinite(profile.occupancy).all()
+
+
 def test_symmetric_utilities_at_a_huge_informativeness():
     """Below about 1.3e154 the utilities stay finite; past it the squares
     overflow, which is a domain error, not a raw OverflowError."""

@@ -183,3 +183,16 @@ def test_identical_rows_error_carries_pair():
     with pytest.raises(IdenticalRowsError) as exc:
         confirmatory_lotteries(model)
     assert (exc.value.w, exc.value.w2) == (0, 1)
+
+
+def test_every_identical_pair_is_reported_and_the_first_is_raised():
+    """Rows within 1e-12 of each other count as identical; 1e-9 apart do not."""
+    from famlearn import IdenticalRowsError
+
+    a, b = [0.25, 0.75], [0.6, 0.4]
+    near_a, far_b = [0.25 + 1e-13, 0.75 - 1e-13], [0.6 + 1e-9, 0.4 - 1e-9]
+    model = SignalModel.from_rows([a, b, near_a, b, a, far_b])
+    assert validate(model, 0.1).identical_pairs == ((0, 2), (0, 4), (1, 3), (2, 4))
+    with pytest.raises(IdenticalRowsError) as exc:
+        confirmatory_lotteries(model)
+    assert (exc.value.w, exc.value.w2) == (0, 2)
