@@ -104,6 +104,14 @@ class UpdatingMechanism:
             raise ValueError("decision entries must be nonnegative action indices")
         if not 0 <= initial_state < m_size:
             raise ValueError(f"initial_state {initial_state} out of range")
+        finite = np.isfinite(rows.value)
+        if not finite.all():
+            entry = int(finite.argmin())
+            bad = int(rows.row_index[entry])
+            raise ValueError(
+                f"transition row (m={bad // alphabet}, s={bad % alphabet}) holds "
+                f"{float(rows.value[entry])!r}; probabilities must be finite"
+            )
         if (rows.value < 0).any():
             raise ValueError("transition probabilities must be nonnegative")
         row_sums = rows.row_sums()

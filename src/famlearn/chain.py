@@ -212,21 +212,21 @@ def _strong_components(n: int, indptr: list, succ: list):
 
 
 def _reach(q: SparseRows, start: int) -> np.ndarray:
-    """The states ``start`` reaches along ``q``'s entries, in increasing order.
+    """The states ``start`` reaches along ``q``'s entries, breadth first from it.
 
-    Reads the successors of the states it visits and no others.
+    ``start`` comes first.  Reads the successors of the states it visits
+    and no others.
     """
     indptr, succ = q.indptr.tolist(), memoryview(np.ascontiguousarray(q.index))
     seen = [False] * len(q)
     seen[start] = True
-    stack = [start]
-    while stack:
-        v = stack.pop()
+    order = [start]
+    for v in order:  # grows as it goes: each state is visited once
         for u in succ[indptr[v] : indptr[v + 1]]:
             if not seen[u]:
                 seen[u] = True
-                stack.append(u)
-    return np.flatnonzero(seen)
+                order.append(u)
+    return np.array(order)
 
 
 def recurrent_classes(q):
@@ -252,102 +252,75 @@ def recurrent_classes(q):
     return classes, np.flatnonzero(~closed[labels]).tolist()
 
 
-def _member_entries(q: SparseRows, members):
-    """The entries of the members' rows as ``(row, col, value)`` in member
-    positions, in the kernel's order.  Reads only those rows."""
-    local = np.full(len(q), -1)
-    local[members] = np.arange(len(members))
-    states = np.sort(members)
-    entry, place = q.entries(states)
-    return local[states][place], local[q.index[entry]], q.value[entry]
-
-
 def _tree_feeds(q: SparseRows, members):
-    """A tree's feeds, as :func:`_eliminate_sparse` gives them; else ``None``.
+    """The feeds of a tree with absorbing members, for :func:`_back_substitute`;
+    else ``None``.
 
-    The chain is a tree when every member after the start has exactly one
-    entry to an earlier member and exactly one from an earlier member, both
-    joining it to the same member ``p(j)``: stars, lines started at an end,
-    and noisy stars.  Eliminating ``j`` then leaves it one outflow entry, to
-    ``p(j)``, and one inflow, so no pivot updates anything and the start is
-    the only root (Grassmann, Taksar & Heyman, *Oper. Res.* 33, 1985).
-    ``j``'s feed is ``(q[j, p(j)], [(p(j), q[p(j), j])])``, read off the
-    entries without the per-pivot loop.  Every ``q[j, p(j)]`` must be
-    positive, so the roots are those the loop's test ``s > 0`` would find:
-    the start alone.  Only the members' rows are read.
+    ``members`` are what the start reaches, breadth first from it.  A member
+    with no entry off the diagonal absorbs, and any member may enter it.
+    The others, the start among them, form a tree when each after the start
+    has exactly one entry to an earlier one and exactly one from an earlier
+    one, both joining it to the same member ``p(j)``: stars, noisy stars,
+    lines and absorbing walks, from any start.  GTH elimination, last
+    member first (Grassmann, Taksar & Heyman, *Oper. Res.* 33, 1985), then
+    updates nothing but the flows into the absorbing members.  One pass up
+    the tree finds them: ``j``, whose flow into them is ``R_j``, leaves
+    with ``s_j = q[j, p(j)] + R_j`` and adds ``q[p(j), j] R_j / s_j`` to
+    ``R_p(j)``.  ``j``'s feed is ``(p(j), q[p(j), j])``.  The absorbing
+    members are roots, and so is the start when ``R_0`` is not ``s > 0``,
+    as when none is reached or every flow underflows; every ``q[j, p(j)]``
+    must be positive, so no other member is one.  Otherwise the start's
+    flow into ``r`` is ``sum_j w_j q[j, r]``, from one pass down with
+    ``w_0 = 1`` and ``w_j = w_p(j) q[p(j), j] / s_j``.  As ``w_j`` can
+    leave the float range, the pass keeps the share ``w_j R_j / R_0`` of
+    the start's flows that passes through ``j``, which lies in ``[0, 1]``.
+    Only the members' rows are read.
     """
     k = len(members)
-    if (q.indptr[1:][members] - q.indptr[members]).sum() > 3 * k - 2:  # 2 per edge, 1 per loop
+    local = np.full(len(q), -1)
+    local[members] = np.arange(k)
+    states = np.sort(members)
+    entry, place = q.entries(states)
+    row, col, value = local[states][place], local[q.index[entry]], q.value[entry]
+    off = row != col
+    tree = np.zeros(k, dtype=bool)
+    tree[row[off]] = tree[0] = True
+    edge = off & tree[col]
+    back, ahead = edge & (col < row), edge & (col > row)
+    size = np.count_nonzero(tree)
+    if np.count_nonzero(back) != size - 1 or np.count_nonzero(ahead) != size - 1:
         return None
-    row, col, value = _member_entries(q, members)
-    back, ahead = col < row, col > row
-    if np.count_nonzero(back) != k - 1 or np.count_nonzero(ahead) != k - 1:
-        return None
-    # Unset, the two differ; set, each member after the start was met once.
+    # Unset, the two differ; set, each tree member after the start was met once.
     parent, feeder = np.full(k, -1), np.full(k, -2)
     parent[row[back]], feeder[col[ahead]] = col[back], row[ahead]
-    if not (parent[1:] == feeder[1:]).all() or not (value[back] > 0.0).all():
+    if not (parent == feeder)[tree][1:].all() or not (value[back] > 0.0).all():
         return None
     outflow, inflow = np.zeros(k), np.zeros(k)
     outflow[row[back]], inflow[col[ahead]] = value[back], value[ahead]
-    return outflow, np.r_[0, np.arange(k)], parent[1:], inflow[1:], {0: 1.0}
-
-
-def _eliminate_sparse(q: SparseRows, members):
-    """GTH elimination of the chain on ``members`` on its nonzero entries.
-
-    ``members`` are what the start reaches, the start first, eliminated
-    last to first (Grassmann, Taksar & Heyman, *Oper. Res.* 33, 1985).
-    Eliminating ``j`` adds the outer product of its inflow column and its
-    outflow row over the row's sum ``s`` to the states before it and the
-    roots, so a star, eliminated tip-inward, makes no update at all (see
-    :func:`_tree_feeds`, which :func:`stationary` tries first).  A state
-    whose outflow sum is not ``s > 0`` is the root of a closed class
-    (Sonin, *Adv. Math.* 145, 1999): it stays and spreads nothing.  Returns
-    the feeds as :func:`_back_substitute` takes them: each member's ``s``,
-    0 at a root, its pairs ``(i, a[i, j])`` over ``i < j`` in CSR form, and
-    the start's flows into the roots; or ``None`` once the updates made
-    would exceed the block's nonzero count.  Updates are the textbook
-    loop's, in its order; only a row's sum may be taken in another.  Only
-    the members' rows of ``q`` are read.  :func:`_gth_stack` sums in
-    panels, so the two agree to rounding, not bitwise.  The diagonal, which
-    GTH never reads, is not kept.
-    """
-    k = len(members)
-    row, col, value = _member_entries(q, members)
-    budget, off = row.size, row != col
-    rows, cols = [{} for _ in range(k)], [[] for _ in range(k)]
-    for i, c, v in zip(row[off].tolist(), col[off].tolist(), value[off].tolist()):
-        rows[i][c] = v
-        cols[c].append(i)
-
-    updates = 0
-    outflows, feeds = [0.0] * k, [()] * k
-    for j in range(k - 1, -1, -1):
-        outflow = rows[j]
-        s = sum(outflow.values())
-        if not s > 0.0:
-            continue
-        inflow = [i for i in cols[j] if i < j]
-        updates += len(inflow) * len(outflow) - len(outflow.keys() & inflow)
-        if updates > budget:
-            return None
-        outflows[j], feeds[j] = s, [(i, rows[i].pop(j)) for i in inflow]
-        for i, a in feeds[j]:
-            target = rows[i]
-            for c, o in outflow.items():
-                if c != i:
-                    if c in target:
-                        target[c] += a * (o / s)
-                    else:
-                        target[c] = a * (o / s)
-                        cols[c].append(i)
-    indptr = np.zeros(k + 1, dtype=np.int64)
-    np.cumsum([len(pairs) for pairs in feeds], out=indptr[1:])
-    source = np.array([i for pairs in feeds for i, _ in pairs], dtype=np.int64)
-    inflow = np.array([a for pairs in feeds for _, a in pairs], dtype=np.float64)
-    flows = rows[0] if outflows[0] else {0: 1.0}
-    return np.array(outflows), indptr, source, inflow, flows
+    fed = tree.copy()
+    fed[0] = False
+    feeds = np.r_[0, np.cumsum(fed)], parent[fed], inflow[fed]
+    into = off & ~tree[col]
+    if not into.any():
+        return (outflow, *feeds, {0: 1.0})
+    flow = np.bincount(row[into], value[into], minlength=k).tolist()
+    out, up, down, part = outflow.tolist(), parent.tolist(), inflow.tolist(), [0.0] * k
+    order = np.flatnonzero(fed).tolist()
+    for j in reversed(order):
+        out[j] += flow[j]
+        part[j] = down[j] * (flow[j] / out[j])
+        flow[up[j]] += part[j]
+    outflow = np.array(out)
+    if not flow[0] > 0.0:
+        return (outflow, *feeds, {0: 1.0})
+    outflow[0], share = flow[0], [1.0] + [0.0] * (k - 1)
+    for j in order:
+        if part[j]:  # then R_p(j) >= part[j] > 0
+            share[j] = share[up[j]] * (part[j] / flow[up[j]])
+    ratio = value[into] / np.array(flow)[row[into]]  # R_j >= q[j, r] > 0
+    flows = np.bincount(col[into], np.array(share)[row[into]] * ratio, minlength=k)
+    absorbing = np.flatnonzero(~tree).tolist()
+    return (outflow, *feeds, dict(zip(absorbing, flows[absorbing].tolist())))
 
 
 def _back_substitute(outflow, indptr, source, inflow, flows) -> np.ndarray:
@@ -355,8 +328,8 @@ def _back_substitute(outflow, indptr, source, inflow, flows) -> np.ndarray:
 
     Member ``j`` leaves with outflow sum ``outflow[j]`` and is fed by the
     pairs ``t`` in ``indptr[j]:indptr[j + 1]``, from member ``source[t]``
-    with weight ``inflow[t]``, as the per-pivot loop, the tree test and
-    :func:`_gth_stack` hand them over.  A root (``outflow`` 0, as the test
+    with weight ``inflow[t]``, as the tree read-off (:func:`_tree_feeds`)
+    and :func:`_gth_stack` hand them over.  A root (``outflow`` 0, as the test
     ``s > 0`` found it) starts at 1.  Any other member takes ``pi[j] =
     sum(pi[i] * a[i, j]) / s`` over the pairs whose ``i`` lies in a class,
     and 0 when none does: a transient member or one the start misses.
@@ -507,13 +480,13 @@ def stationary(q, initial: int = 0) -> np.ndarray:
     the Cesaro limit of the empirical occupancy: each closed class's
     stationary vector weighted by the probability of being absorbed into
     it, with zeros on the transient states.  What ``initial`` reaches is
-    solved by one elimination, ``initial`` last (see
-    :func:`_eliminate_sparse`), on the kernel's nonzero entries, or as a
-    stack of one dense block once those fill in (:func:`_gth_stack`).  When
-    the reached members form a tree in that order, as a star's, a line's
-    from its end or a noisy star's do, the elimination would update
-    nothing, and its feeds are read straight off the entries instead (see
-    :func:`_tree_feeds`).  A kernel with no zero entry is one class and
+    put in breadth-first order from it and eliminated last member first,
+    ``initial`` last.  When those members form a tree once the absorbing
+    ones are set aside, as a star's, a noisy star's, a line's or an
+    absorbing walk's do, the elimination updates only the flows into the
+    absorbing members, and its feeds are read off the entries (see
+    :func:`_tree_feeds`); any other reached chain is one dense block
+    (:func:`_gth_stack`).  A kernel with no zero entry is one class and
     goes straight to the dense elimination; a dense one is never converted
     to :class:`SparseRows`.  A sparse kernel's rows that ``initial`` does
     not reach are read only by the kernel checks.
@@ -528,12 +501,13 @@ def stationary(q, initial: int = 0) -> np.ndarray:
     if dense or q.nnz == n * n:  # one class: no start to put last
         pi = _gth_stack((q.copy() if dense else q.dense())[None])[0]
     else:
-        reached = _reach(q, initial)
-        members = np.concatenate([[initial], reached[reached != initial]])
-        eliminated = _tree_feeds(q, members) or _eliminate_sparse(q, members)
-        block = None if eliminated else q.block(members, members)[None]
+        members = _reach(q, initial)
+        feeds = _tree_feeds(q, members)
         pi = np.zeros(n)
-        pi[members] = _back_substitute(*eliminated) if eliminated else _gth_stack(block)[0]
+        if feeds:
+            pi[members] = _back_substitute(*feeds)
+        else:
+            pi[members] = _gth_stack(q.block(members, members)[None])[0]
     _check_residual(pi, q)
     return pi
 

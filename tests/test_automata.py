@@ -119,6 +119,19 @@ def test_mechanism_validates_sparse_rows():
         UpdatingMechanism(m_size=4, transition=rows, decision=np.zeros(4))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("form", ["dense", "sparse"])
+def test_mechanism_rejects_a_non_finite_entry_by_its_row(form, bad):
+    """A NaN row sum passes a test written ``worst > tol``, so a non-finite
+    entry is refused on its own, in either form, naming its (m, s) row."""
+    tr = np.zeros((2, 2, 2))
+    tr[:, :, 0] = 1.0
+    tr[1, 0] = [bad, 1.0]
+    transition = tr if form == "dense" else SparseRows.from_dense(tr.reshape(4, 2))
+    with pytest.raises(ValueError, match=r"row \(m=1, s=0\) holds .*must be finite"):
+        UpdatingMechanism(m_size=2, transition=transition, decision=np.zeros(2))
+
+
 def test_expected_transition_matrix_mixes_signals():
     line = build_line(LADDER_MODEL, 4)
     row = expected_transition_matrix(line, LADDER_MODEL, 0)[1]

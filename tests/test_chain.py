@@ -3,6 +3,7 @@
 import tracemalloc
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -242,19 +243,21 @@ def test_reducible_occupancy_matches_high_precision_absorption(case):
 @settings(max_examples=100, deadline=None)
 @given(reducible_kernels())
 def test_dense_and_sparse_root_rules_agree_on_the_reached_block(case):
-    """The dense elimination of the block the start reaches, start first,
-    finds the same roots and weights as the sparse one wherever that stays
-    within its budget."""
+    """The dense elimination of the block the start reaches, in breadth-first
+    order, finds the roots and weights of the high-precision absorption
+    law, and so does the tree read-off wherever the tree test holds."""
     q, initial = case
     sparse = SparseRows.from_dense(q)
-    reached = chain._reach(sparse, initial)
-    members = np.concatenate([[initial], reached[reached != initial]])
-    eliminated = chain._eliminate_sparse(sparse, members)
-    if eliminated is not None:
-        ref = chain._back_substitute(*eliminated)
-        pi = chain._gth_stack(sparse.block(members, members)[None])[0]
-        tiny = np.finfo(np.float64).tiny
-        normal = ref >= tiny
+    members = chain._reach(sparse, initial)
+    assert members[0] == initial
+    ref = oracles.absorption_mp(q, initial)[members]
+    solved = [chain._gth_stack(sparse.block(members, members)[None])[0]]
+    feeds = chain._tree_feeds(sparse, members)
+    if feeds is not None:
+        solved.append(chain._back_substitute(*feeds))
+    tiny = np.finfo(np.float64).tiny
+    normal = ref >= tiny
+    for pi in solved:
         np.testing.assert_allclose(pi[normal], ref[normal], rtol=1e-14, atol=0.0)
         assert np.abs(pi[~normal] - ref[~normal]).max(initial=0.0) <= tiny
 
@@ -278,9 +281,9 @@ def test_a_subnormal_outflow_row_spreads_without_overflow_or_warning(q, expected
 
 
 def test_a_fan_into_16000_absorbing_states_splits_evenly_in_one_elimination(monkeypatch):
-    """The start jumps uniformly into 16,000 absorbing states.  One sparse
-    elimination finds them all as roots, and the start's flows, divided by
-    their ``math.fsum``, give each exactly 1/k."""
+    """The start jumps uniformly into 16,000 absorbing states.  One tree
+    read-off sets them all aside as roots, and the start's flows, divided
+    by their ``math.fsum``, give each exactly 1/k."""
     k = 16_000
     tips = np.arange(1, k + 1)
     q = SparseRows.from_sorted(
@@ -291,16 +294,16 @@ def test_a_fan_into_16000_absorbing_states_splits_evenly_in_one_elimination(monk
         k + 1,
     )
     calls = []
-    eliminate = chain._eliminate_sparse
+    read_off = chain._tree_feeds
 
     def counted(*args):
         calls.append(args)
-        return eliminate(*args)
+        return read_off(*args)
 
     def refuse(a):
         raise AssertionError("the fan fell back to the dense block")
 
-    monkeypatch.setattr(chain, "_eliminate_sparse", counted)
+    monkeypatch.setattr(chain, "_tree_feeds", counted)
     monkeypatch.setattr(chain, "_gth_stack", refuse)
     pi = stationary(q, 0)
     assert len(calls) == 1
@@ -310,16 +313,36 @@ def test_a_fan_into_16000_absorbing_states_splits_evenly_in_one_elimination(monk
 WALK = 20_001
 
 
-@pytest.mark.parametrize("initial", [1, WALK // 3, WALK - 2])
-def test_absorbing_walk_stays_sparse_and_matches_gamblers_ruin(initial, monkeypatch):
-    """A fair walk whose two ends absorb ends at the top with probability
-    ``initial / (n - 1)``.  Its weights come from the sparse elimination
-    alone, never the dense block; a dense ``I - Q_TT`` would take 3.2 GB."""
+def _gamblers_ruin_mp(up, n, initial):
+    """Chances that a walk on ``0..n-1`` stepping up with probability ``up``
+    ends at 0 and at ``n - 1`` from ``initial``, in mpmath."""
+    with mpmath.workdps(40):
+        if up == 0.5:
+            return np.array([n - 1 - initial, initial]) / (n - 1)
+        r = (1 - mpmath.mpf(up)) / up
+        last = r ** (n - 1)
+        ends = [(r**initial - last) / (1 - last), (1 - r**initial) / (1 - last)]
+        return np.array([float(x) for x in ends])
+
+
+@pytest.mark.parametrize(
+    "up, initial",
+    [(0.5, 1), (0.5, WALK // 3), (0.5, WALK - 2)]
+    + [(up, initial) for up in (0.4, 0.6) for initial in (1, WALK // 3, WALK - 2)],
+    ids=["1", str(WALK // 3), str(WALK - 2)]
+    + [f"up={up}-{initial}" for up in (0.4, 0.6) for initial in (1, WALK // 3, WALK - 2)],
+)
+def test_absorbing_walk_stays_sparse_and_matches_gamblers_ruin(up, initial, monkeypatch):
+    """A walk whose two ends absorb, stepping up with probability ``up``,
+    ends at each end with the gambler's-ruin chance.  Its weights come from
+    the tree read-off alone, never the dense block; a dense ``I - Q_TT``
+    would take 3.2 GB.  A drifting walk started away from the end it drifts
+    to reaches the other end with a chance far below the float range."""
     inner = np.arange(1, WALK - 1)
     q = SparseRows.from_sorted(
         np.concatenate([[0], np.repeat(inner, 2), [WALK - 1]]),
         np.concatenate([[0], np.stack([inner - 1, inner + 1], axis=1).ravel(), [WALK - 1]]),
-        np.concatenate([[1.0], np.full(2 * inner.size, 0.5), [1.0]]),
+        np.concatenate([[1.0], np.tile([1.0 - up, up], inner.size), [1.0]]),
         WALK,
         WALK,
     )
@@ -329,8 +352,11 @@ def test_absorbing_walk_stays_sparse_and_matches_gamblers_ruin(initial, monkeypa
 
     monkeypatch.setattr(chain, "_gth_stack", refuse)
     pi = stationary(q, initial)
-    ends = [WALK - 1 - initial, initial]
-    np.testing.assert_allclose(pi[[0, -1]], np.divide(ends, WALK - 1), rtol=1e-12, atol=0.0)
+    ref = _gamblers_ruin_mp(up, WALK, initial)
+    tiny = np.finfo(np.float64).tiny
+    normal = ref >= tiny
+    np.testing.assert_allclose(pi[[0, -1]][normal], ref[normal], rtol=1e-12, atol=0.0)
+    assert np.abs(pi[[0, -1]][~normal] - ref[~normal]).max(initial=0.0) <= tiny
     assert not pi[1:-1].any()
 
 
@@ -338,8 +364,8 @@ def test_transient_start_solves_only_what_it_reaches(monkeypatch):
     """A fair walk on states 0..200 whose ends absorb, started at 67, beside
     a closed 2-cycle {201, 202} and transient states 203 and 204 that feed
     the walk and the cycle; the walk reaches none of those four.  One kernel
-    check, one reach and one elimination solve it, and the member list
-    handed to the elimination holds no unreached state."""
+    check, one reach and one tree read-off solve it, and the member list
+    handed to the read-off holds no unreached state."""
     n, initial = 201, 67
     inner = np.arange(1, n - 1)
     q = SparseRows.from_entries(
@@ -358,16 +384,16 @@ def test_transient_start_solves_only_what_it_reaches(monkeypatch):
 
         def counted(*args, **kwargs):
             calls[name] = calls.get(name, 0) + 1
-            if name == "_eliminate_sparse":
+            if name == "_tree_feeds":
                 solved.append(list(args[1]))
             return wrapped(*args, **kwargs)
 
         monkeypatch.setattr(chain, name, counted)
 
-    for name in ("_reach", "_check_kernel", "_eliminate_sparse", "_gth_stack"):
+    for name in ("_reach", "_check_kernel", "_tree_feeds", "_gth_stack"):
         count(name)
     pi = chain.stationary(q, initial)
-    assert calls == {"_reach": 1, "_check_kernel": 1, "_eliminate_sparse": 1}
+    assert calls == {"_reach": 1, "_check_kernel": 1, "_tree_feeds": 1}
     assert solved[0][0] == initial and sorted(solved[0]) == list(range(n))
     ends = np.array([n - 1 - initial, initial]) / (n - 1)
     np.testing.assert_allclose(pi[[0, n - 1]], ends, rtol=1e-12)
@@ -435,19 +461,22 @@ def test_stationary_matches_power_averaging(size, seed):
 
 @pytest.mark.parametrize("seed", range(20))
 def test_sparse_elimination_matches_dense_loop_bitwise(seed):
-    """These classes fill in, so the sparse elimination gives up and leaves
-    no trace: the occupancy is bit for bit the dense elimination's.  That
-    one sums in panels, not in the textbook's per-pivot order, so it agrees
-    with the textbook loop and with the same loop at 40 digits to rounding."""
+    """These classes are no trees, so the tree test fails and leaves no
+    trace: the occupancy is bit for bit the dense elimination's of the
+    block in breadth-first order.  That one sums in panels, not in the
+    textbook's per-pivot order, so it agrees with the textbook loop and
+    with the same loop at 40 digits to rounding."""
     rng = np.random.default_rng(seed)
     n = int(rng.integers(2, 80))
     q = _random_support_kernel(rng, n, rng.uniform(0.0, 0.3))
     q[np.arange(n), (np.arange(n) + 1) % n] += 0.5  # a ring: irreducible
     q /= q.sum(axis=1, keepdims=True)
-    members = list(range(n))
-    assert chain._eliminate_sparse(SparseRows.from_dense(q), members) is None
+    members = chain._reach(SparseRows.from_dense(q), 0)
+    assert chain._tree_feeds(SparseRows.from_dense(q), members) is None
     pi = stationary(q)
-    assert pi.tolist() == chain._gth_stack(q.copy()[None])[0].tolist()
+    expected = np.zeros(n)
+    expected[members] = chain._gth_stack(q[np.ix_(members, members)][None])[0]
+    assert pi.tolist() == expected.tolist()
     for ref in (oracles.dense_gth(q), oracles.gth_mp(q)):
         np.testing.assert_allclose(pi, ref, rtol=1e-13, atol=0.0)
 
@@ -480,8 +509,8 @@ def test_dense_elimination_takes_a_member_without_outflow_as_a_root():
 
 def test_dense_elimination_carries_roots_across_panels():
     """Four absorbing states and a 2-cycle among 106 states whose other rows
-    are about half full, started at a transient state.  The sparse pass
-    gives up, and the dense one finds the roots in different panels and
+    are about half full, started at a transient state.  The tree test
+    fails, and the dense pass finds the roots in different panels and
     keeps their columns in each panel's update.  The reference solves the
     hitting system by a float LU."""
     n = 2 * PANEL + 10
@@ -497,8 +526,8 @@ def test_dense_elimination_carries_roots_across_panels():
     expected = np.zeros(n)
     expected[closed] = np.linalg.solve(hitting, q[np.ix_(transient, closed)])[n // 2]
     expected[closed[4:]] = expected[closed[4:]].sum() / 2
-    members = np.r_[initial, np.setdiff1d(np.arange(n), [initial])]
-    assert chain._eliminate_sparse(SparseRows.from_dense(q), members) is None
+    sparse = SparseRows.from_dense(q)
+    assert chain._tree_feeds(sparse, chain._reach(sparse, initial)) is None
     np.testing.assert_allclose(stationary(q, initial), expected, rtol=1e-12, atol=0.0)
 
 
@@ -609,12 +638,11 @@ BUILDER_KERNELS = {
 
 @pytest.mark.parametrize("family", BUILDER_KERNELS)
 def test_builder_kernels_solve_sparse_and_match_dense_loop(family):
-    """Stars, noisy stars and lines never fill in, so they stay on the
-    sparse elimination, and it agrees with the textbook dense loop."""
+    """Stars, noisy stars and lines are trees, so their feeds are read off
+    the entries, and the occupancy agrees with the textbook dense loop."""
     mech, w = BUILDER_KERNELS[family]
     q = transition_kernel(mech, WEAK, w)
-    members = list(range(len(q)))
-    assert chain._eliminate_sparse(q, members) is not None
+    assert chain._tree_feeds(q, chain._reach(q, 0)) is not None
     np.testing.assert_allclose(
         stationary(q), oracles.dense_gth(q.dense()), rtol=1e-13, atol=0.0
     )
@@ -627,9 +655,10 @@ def tree_kernels(draw):
     parent by entries both ways, with weights over 30 orders of magnitude,
     so some occupancies leave the float range; some states keep a
     self-loop, and some edges lead only away from the root.  The root takes
-    a random label; the others keep their order or are shuffled, so that in
-    some labellings a parent comes after its child.  Returns the kernel, the
-    start, and whether the tree test should hold."""
+    a random label; the others keep their order or are shuffled.  Returns
+    the kernel, the start, and whether the tree test should hold: it fails
+    where an edge that leads only away from the root ends at a state with
+    children of its own, for a state with none then absorbs."""
     rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
     n = draw(st.integers(min_value=3, max_value=40))
     parent = np.array([rng.integers(0, j) for j in range(1, n)], dtype=np.int64)
@@ -649,62 +678,141 @@ def tree_kernels(draw):
     ordered = draw(st.booleans())
     label = np.concatenate([[root], rest if ordered else rng.permutation(rest)])
     q = SparseRows.from_entries(label[rows], label[cols], weight, n, n)
-    tree = both.all() and ((label[parent] == root) | (label[parent] < label[child])).all()
+    tree = (both | ~np.isin(child, parent)).all()
     return q, root, bool(tree)
 
 
 @settings(max_examples=200, deadline=None)
 @given(tree_kernels())
-def test_a_tree_solves_bitwise_as_the_per_pivot_loop(case):
+def test_a_tree_is_read_off_and_matches_high_precision_absorption(case):
     """Where the tree test holds the feeds come from the entries, and
-    where it fails the per-pivot loop runs; either way the occupancy is
-    bit for bit the loop's back-substitution."""
+    where it fails the dense block runs; either way the occupancy is bit
+    for bit that path's, and it matches the high-precision absorption law."""
     q, initial, tree = case
-    reached = chain._reach(q, initial)
-    members = np.concatenate([[initial], reached[reached != initial]])
-    assert (chain._tree_feeds(q, members) is not None) == tree
-    eliminated = chain._eliminate_sparse(q, members)
-    assert eliminated is not None or not tree
+    members = chain._reach(q, initial)
+    feeds = chain._tree_feeds(q, members)
+    assert (feeds is not None) == tree
     expected = np.zeros(len(q))
-    if eliminated is None:
+    if feeds is None:
         expected[members] = chain._gth_stack(q.block(members, members)[None])[0]
     else:
-        expected[members] = chain._back_substitute(*eliminated)
-    assert stationary(q, initial).tobytes() == expected.tobytes()
+        expected[members] = chain._back_substitute(*feeds)
+    pi = stationary(q, initial)
+    assert pi.tobytes() == expected.tobytes()
+    ref = oracles.absorption_mp(q.dense(), initial)
+    tiny = np.finfo(np.float64).tiny
+    normal = ref >= tiny
+    np.testing.assert_allclose(pi[normal], ref[normal], rtol=1e-12, atol=0.0)
+    assert np.abs(pi[~normal] - ref[~normal]).max(initial=0.0) <= tiny
 
 
-def test_a_star_with_one_more_edge_takes_the_per_pivot_loop(monkeypatch):
-    """One entry from one tip of a 0.6/0.4 star to the other gives that
-    other tip two earlier neighbours: the tree test fails, and the
-    per-pivot loop gives the occupancy."""
+@st.composite
+def absorbing_trees(draw):
+    """A random tree of 2 to 39 states beside 1 to 38 absorbing states, 40
+    states at most, as a dense kernel, and a start drawn among the tree's
+    states.  Each tree state after the first joins a random earlier one by
+    entries both ways; each absorbing state is entered from one or two tree
+    states; tree states may keep a self-loop.  Entries span 12 orders of
+    magnitude, and the labels are shuffled."""
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    t = draw(st.integers(min_value=2, max_value=39))
+    n = t + draw(st.integers(min_value=1, max_value=40 - t))
+    parent = np.array([rng.integers(0, j) for j in range(1, t)], dtype=np.int64)
+    child = np.arange(1, t)
+    q = np.zeros((n, n))
+    q[parent, child] = 10.0 ** rng.uniform(-12.0, 0.0, size=t - 1)
+    q[child, parent] = 10.0 ** rng.uniform(-12.0, 0.0, size=t - 1)
+    for r in range(t, n):
+        feeders = rng.choice(t, size=min(t, int(rng.integers(1, 3))), replace=False)
+        q[feeders, r] = 10.0 ** rng.uniform(-12.0, 0.0, size=feeders.size)
+    if draw(st.booleans()):
+        loop = np.flatnonzero(rng.random(t) < 0.5)
+        q[loop, loop] = 10.0 ** rng.uniform(-12.0, 0.0, size=loop.size)
+    q[np.arange(t, n), np.arange(t, n)] = 1.0
+    q /= q.sum(axis=1, keepdims=True)
+    label = rng.permutation(n)
+    shuffled = np.zeros((n, n))
+    shuffled[np.ix_(label, label)] = q
+    return shuffled, int(label[rng.integers(0, t)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(absorbing_trees())
+def test_a_tree_with_absorbing_members_is_read_off_and_matches_high_precision_absorption(case):
+    """Set aside, the absorbing states leave a tree in breadth-first order
+    from any start, so the feeds and the start's flows come from the
+    entries, and every occupancy matches the high-precision absorption law."""
+    q, initial = case
+    sparse = SparseRows.from_dense(q)
+    assert chain._tree_feeds(sparse, chain._reach(sparse, initial)) is not None
+    pi = stationary(sparse, initial)
+    ref = oracles.absorption_mp(q, initial)
+    tiny = np.finfo(np.float64).tiny
+    normal = ref >= tiny
+    np.testing.assert_allclose(pi[normal], ref[normal], rtol=1e-14, atol=0.0)
+    assert np.abs(pi[~normal] - ref[~normal]).max(initial=0.0) <= tiny
+
+
+def test_a_tree_whose_visit_counts_leave_the_float_range_splits_its_absorption():
+    """The line 0 - 1 - 2 - 3 with state 4 absorbing from 0 and state 5 from
+    3.  State 1 leaves only at the smallest subnormal, so it is visited
+    about 1e323 times per visit to the start, past the largest double.  The
+    read-off carries shares of the start's flows, which stay within [0, 1],
+    and splits the start's absorption 2 : 1 as the 700-digit law does."""
+    q = np.zeros((6, 6))
+    q[0, [1, 4]] = 0.5
+    q[1, [0, 2]] = 5e-324
+    q[2, [1, 3]] = [1e-200, 0.5]
+    q[3, [2, 5]] = [1e-300, 1e-320]
+    q[[1, 2, 3], [1, 2, 3]] = 1.0 - q[[1, 2, 3]].sum(axis=1)
+    q[[4, 5], [4, 5]] = 1.0
+    sparse = SparseRows.from_dense(q)
+    assert chain._tree_feeds(sparse, chain._reach(sparse, 0)) is not None
+    pi = stationary(sparse, 0)
+    np.testing.assert_allclose(pi, oracles.absorption_mp(q, 0), rtol=1e-15, atol=0.0)
+    np.testing.assert_allclose(pi, [0, 0, 0, 0, 2 / 3, 1 / 3], rtol=1e-15, atol=0.0)
+
+
+def test_a_star_with_one_more_edge_takes_the_dense_block(monkeypatch):
+    """One entry from one tip of a 0.6/0.4 star to the other closes a
+    cycle through the centre: the tree test fails, and one dense block of
+    the 41 states in breadth-first order gives the occupancy."""
     model = SignalModel.from_rows([[0.6, 0.4], [0.4, 0.6]])
-    q = transition_kernel(build_star(model, lam=20, delta=5.0), model, 0).dense()
-    assert chain._tree_feeds(SparseRows.from_dense(q), np.arange(41)) is not None
+    q = SparseRows.from_dense(
+        transition_kernel(build_star(model, lam=20, delta=5.0), model, 0).dense()
+    )
+    assert chain._tree_feeds(q, chain._reach(q, 0)) is not None
+    q = q.dense()
     q[20, 40] = q[20, 20] / 2
     q[20, 20] /= 2
     q = SparseRows.from_dense(q)
-    members = np.arange(41)
+    members = chain._reach(q, 0)
     assert chain._tree_feeds(q, members) is None
     calls = []
-    eliminate = chain._eliminate_sparse
+    solve = chain._gth_stack
 
-    def counted(*args):
-        calls.append(args)
-        return eliminate(*args)
+    def counted(a):
+        calls.append(a.shape)
+        return solve(a)
 
-    monkeypatch.setattr(chain, "_eliminate_sparse", counted)
+    monkeypatch.setattr(chain, "_gth_stack", counted)
     pi = stationary(q)
-    assert len(calls) == 1
-    assert pi.tobytes() == chain._back_substitute(*eliminate(q, members)).tobytes()
+    assert calls == [(1, 41, 41)]
+    assert pi[members].tobytes() == solve(q.block(members, members)[None])[0].tobytes()
     np.testing.assert_allclose(pi, oracles.dense_gth(q.dense()), rtol=1e-13, atol=0.0)
 
 
 def test_filled_in_class_restarts_on_the_dense_loop():
+    """A 40-state class with random support is no tree: the tree test
+    fails, and the dense elimination agrees with the textbook loop."""
     rng = np.random.default_rng(3)
     q = _random_support_kernel(rng, 40, 0.3)
     q[np.arange(40), (np.arange(40) + 1) % 40] += 0.5
     q /= q.sum(axis=1, keepdims=True)
-    assert chain._eliminate_sparse(SparseRows.from_dense(q), list(range(40))) is None
+    sparse = SparseRows.from_dense(q)
+    assert chain._tree_feeds(sparse, chain._reach(sparse, 0)) is None
+    for ref in (oracles.dense_gth(q), oracles.gth_mp(q)):
+        np.testing.assert_allclose(stationary(q), ref, rtol=1e-13, atol=0.0)
 
 
 @pytest.mark.parametrize(
@@ -714,7 +822,7 @@ def test_filled_in_class_restarts_on_the_dense_loop():
 )
 def test_filled_in_class_past_the_float_range_matches_its_law(n, band):
     """A Metropolis chain for pi_i ~ 1e4**i, with proposals up to ``band``
-    states away: it fills in, so the dense elimination and its rescaling
+    states away: it is no tree, so the dense elimination and its rescaling
     run, over several panels for the larger class.  There the law spans
     far more than the float range, and what lies below the smallest normal
     double is only held to that absolute size."""
@@ -723,7 +831,8 @@ def test_filled_in_class_past_the_float_range_matches_its_law(n, band):
     q = near * np.exp(np.minimum(0.0, log_pi - log_pi[:, None])) / n
     np.fill_diagonal(q, 0.0)
     np.fill_diagonal(q, 1.0 - q.sum(axis=1))
-    assert chain._eliminate_sparse(SparseRows.from_dense(q), list(range(n))) is None
+    sparse = SparseRows.from_dense(q)
+    assert chain._tree_feeds(sparse, chain._reach(sparse, 0)) is None
     ref = np.exp(log_pi - log_pi.max())
     ref /= ref.sum()
     pi = stationary(q)
@@ -1147,7 +1256,7 @@ def test_a_pair_of_full_rules_builds_no_sparse_kernel(monkeypatch):
 
 
 def test_stationary_temporaries_do_not_grow_with_what_the_start_misses():
-    """A 60-state class that fills in past the sparse budget, beside 2,000
+    """A 60-state class that is no tree, beside 2,000
     states it never reaches, holding 2 or 50 entries each.  The dense block
     is read from the class's own rows, so the call's temporaries, its peak
     over what it leaves behind, stay the same while the kernel gains
@@ -1182,7 +1291,7 @@ def test_tree_test_temporaries_do_not_grow_with_what_the_start_misses(monkeypatc
     """A 61-state star, two branches of 30 about a centre, beside 2,000
     states it never reaches, holding 2 or 50 entries each.  The tree test
     reads only the reached rows, so the call's temporaries stay the same
-    while the kernel gains 96,000 entries, and the per-pivot loop never
+    while the kernel gains 96,000 entries, and the dense block never
     runs."""
     k, far, lam = 61, 2000, 30
     branch = np.arange(1, k)
@@ -1202,10 +1311,10 @@ def test_tree_test_temporaries_do_not_grow_with_what_the_start_misses(monkeypatc
         values = np.concatenate([star_values, np.full(far * per_row, 1 / per_row)])
         return SparseRows.from_entries(rows, cols, values, k + far, k + far)
 
-    def refuse(q, members):
-        raise AssertionError("the star took the per-pivot loop")
+    def refuse(a):
+        raise AssertionError("the star took the dense block")
 
-    monkeypatch.setattr(chain, "_eliminate_sparse", refuse)
+    monkeypatch.setattr(chain, "_gth_stack", refuse)
     temporaries = []
     for per_row in (2, 50):
         q = kernel(per_row)

@@ -772,6 +772,23 @@ def test_non_finite_inputs_are_refused_by_name_and_write_nothing(
     assert not out.exists() or not any(out.iterdir())
 
 
+def test_eval_refuses_an_inline_mechanism_holding_nan_by_its_row(tmp_path, capsys):
+    """``json`` and the schema reader both take the ``NaN`` token, and a NaN
+    row sum passes the row-sum test, so the entry itself is refused."""
+    mech = {
+        "m": 2,
+        "transition": [[[1.0, 0.0], [0.0, 1.0]], [[float("nan"), 1.0], [0.0, 1.0]]],
+        "decision": [0, 1],
+        "initial": 0,
+    }
+    problem = {"model": BINARY_JSON}
+    spec = write_spec(tmp_path, {"problem": problem, "mechanism": {"inline": mech}})
+    out = tmp_path / "out"
+    assert run("eval", spec, out) == 1
+    assert "transition row (m=1, s=0) holds nan" in capsys.readouterr().err
+    assert not (out / "eval.json").exists()
+
+
 def test_eval_writes_every_occupancy_exactly(tmp_path):
     """lam = 430: the hub's mass is about 1e-316, a subnormal."""
     model = SignalModel.from_rows([[0.6, 0.4], [0.4, 0.6]])

@@ -49,12 +49,16 @@ def run_script(name, *args):
 
 
 def test_absorbing_walk_script_runs_and_meets_gamblers_ruin():
-    """The script behind the README's reducible-chain figures, at 2,001 states."""
+    """The script behind the README's reducible-chain figures: a walk of
+    2,001 states, then the fan into 16,000 absorbing states, which each
+    take exactly 1/16,000."""
     done = run_script("absorbing_walk_scaling.py", "--sizes", "2001")
     assert done.returncode == 0, done.stderr
-    report = json.loads(done.stdout.splitlines()[-1])
-    assert report["states"] == 2001
-    assert report["rel_error"] <= 1e-12
+    walk, fan = [json.loads(line) for line in done.stdout.splitlines()]
+    assert sorted(walk) == sorted(fan) == ["initial", "maxrss_mb", "rel_error", "seconds", "states"]
+    assert walk["states"] == 2001
+    assert walk["rel_error"] <= 1e-12
+    assert (fan["states"], fan["initial"], fan["rel_error"]) == (16_001, 0, 0.0)
 
 
 def test_eval_script_runs_and_meets_the_star_closed_form():
