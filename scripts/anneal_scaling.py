@@ -8,8 +8,8 @@ row does not move prices nothing; the share of such steps over all
 restarts is counted on one run that counts the calls of
 ``search._fast_loss`` (one per restart prices its starting tensor).  The
 same run counts each restart's ``standard_gamma`` calls: one per window
-of steps, and more where a restart accepts a row the rest of its window
-reads again.  Each time is the median over ``--repeats`` uncounted runs.
+of steps, and one more for each window that ends early, at a step that
+reads a row the restart accepted in that window.  Each time is the median over ``--repeats`` uncounted runs.
 
 Usage:
     OPENBLAS_NUM_THREADS=1 python3 scripts/anneal_scaling.py [--sizes 1 2 3 4 5 6]

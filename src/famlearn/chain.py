@@ -269,7 +269,8 @@ def _tree_feeds(q: SparseRows, members):
     ``R_p(j)``.  ``j``'s feed is ``(p(j), q[p(j), j])``.  The absorbing
     members are roots, and so is the start when ``R_0`` is not ``s > 0``,
     as when none is reached or every flow underflows; every ``q[j, p(j)]``
-    must be positive, so no other member is one.  Otherwise the start's
+    must be positive, so no other member is one.  Otherwise every tree
+    member is transient, so none is handed a feed, and the start's
     flow into ``r`` is ``sum_j w_j q[j, r]``, from one pass down with
     ``w_0 = 1`` and ``w_j = w_p(j) q[p(j), j] / s_j``.  As ``w_j`` can
     leave the float range, the pass keeps the share ``w_j R_j / R_0`` of
@@ -320,7 +321,8 @@ def _tree_feeds(q: SparseRows, members):
     ratio = value[into] / np.array(flow)[row[into]]  # R_j >= q[j, r] > 0
     flows = np.bincount(col[into], np.array(share)[row[into]] * ratio, minlength=k)
     absorbing = np.flatnonzero(~tree).tolist()
-    return (outflow, *feeds, dict(zip(absorbing, flows[absorbing].tolist())))
+    unfed = np.zeros(k + 1, dtype=np.int64), parent[:0], inflow[:0]
+    return (outflow, *unfed, dict(zip(absorbing, flows[absorbing].tolist())))
 
 
 def _back_substitute(outflow, indptr, source, inflow, flows) -> np.ndarray:
@@ -332,16 +334,22 @@ def _back_substitute(outflow, indptr, source, inflow, flows) -> np.ndarray:
     and :func:`_gth_stack` hand them over.  A root (``outflow`` 0, as the test
     ``s > 0`` found it) starts at 1.  Any other member takes ``pi[j] =
     sum(pi[i] * a[i, j]) / s`` over the pairs whose ``i`` lies in a class,
-    and 0 when none does: a transient member or one the start misses.
-    Partial entries can leave the float range along a drifting branch, so
-    each is kept as a mantissa and a binary exponent, and ``s`` and each
-    ``a`` are split the same way: a subnormal ``s`` cannot overflow and a
-    subnormal ``a`` keeps its bits.  Each class comes to a common scale
-    only at the end, where what underflows lies below the smallest normal
-    double; within the float range this is bitwise the plain sum.  Each
-    class is normalised and scaled by its root's share of ``flows``.
+    and 0 when none does: a transient member or one the start misses.  With
+    no pairs at all each root is a class of its own, so it takes its share
+    of ``flows`` at once.  Partial entries can leave the float range along
+    a drifting branch, so each is kept as a mantissa and a binary exponent,
+    and ``s`` and each ``a`` are split the same way: a subnormal ``s``
+    cannot overflow and a subnormal ``a`` keeps its bits.  Each class comes
+    to a common scale only at the end, where what underflows lies below the
+    smallest normal double; within the float range this is bitwise the
+    plain sum.  Each class is normalised and scaled by its root's share of
+    ``flows``.
     """
     k = outflow.size
+    weight, total = np.zeros(k), math.fsum(flows.values())
+    weight[list(flows)] = [f / total for f in flows.values()]
+    if not indptr[-1]:
+        return weight
     (scale, drop), (mant, grow) = np.frexp(outflow), np.frexp(inflow)
     ratio = (mant / np.repeat(scale, indptr[1:] - indptr[:-1])).tolist()
     src, grow, drop = source.tolist(), grow.tolist(), drop.tolist()
@@ -365,8 +373,6 @@ def _back_substitute(outflow, indptr, source, inflow, flows) -> np.ndarray:
                 total += math.ldexp(mantissa[i], exponent[i] + grow[t] - top) * ratio[t]
         mantissa[j], shift = math.frexp(total)
         exponent[j] = top + shift - d
-    weight, total = np.zeros(k), math.fsum(flows.values())
-    weight[list(flows)] = [f / total for f in flows.values()]
     label = np.asarray(label)
     member = np.flatnonzero(label >= 0)
     label, exponent = label[member], np.asarray(exponent)[member]

@@ -169,6 +169,13 @@ def _read_json(path, what: str):
 # ---------------------------------------------------------------------------
 
 
+def _same_model(a: SignalModel, b: SignalModel) -> bool:
+    """Do two models have the same shape and, to 1e-12, the same masses?"""
+    return a is b or (
+        a.mass.shape == b.mass.shape and np.allclose(a.mass, b.mass, atol=1e-12)
+    )
+
+
 class ExperimentSpec:
     """Parsed experiment file plus the directory its references resolve in.
 
@@ -262,10 +269,7 @@ class ExperimentSpec:
             mech, built_model = build_from_blueprint(
                 blueprint, model if needs_model else None
             )
-            if model is not None and built_model is not model and (
-                built_model.mass.shape != model.mass.shape
-                or not np.allclose(built_model.mass, model.mass, atol=1e-12)
-            ):
+            if model is not None and not _same_model(built_model, model):
                 raise SpecFormatError("spec model conflicts with the blueprint-generated model")
             return mech, built_model
         if "file" in section:
@@ -395,14 +399,14 @@ def cmd_sweep(spec: ExperimentSpec, out: Path, seed: int, fmt: str) -> int:
         section = spec.raw.get("mechanism", {})
         if "blueprint" not in section:
             raise SpecFormatError(f"a {axis} sweep needs a mechanism blueprint")
-        base = MechanismBlueprint.from_json(section["blueprint"])
+        base = section["blueprint"]
         model = spec.model()
         problem = spec.problem()
         for value in values:
-            params = dict(base.params)
-            params[axis] = value
-            blueprint = MechanismBlueprint(family=base.family, params=params)
-            mech, _ = spec.mechanism_section({"blueprint": blueprint.to_json()}, model)
+            # The family must take the swept axis, as the spec schema says.
+            blueprint = {**base, "params": {**base["params"], axis: value}}
+            _check(blueprint, "mechanism.blueprint", "blueprint")
+            mech, _ = spec.mechanism_section({"blueprint": blueprint}, model)
             points.append((value, mech))
     rows = []
     for value, mech in points:
@@ -428,7 +432,7 @@ def cmd_disagree(spec: ExperimentSpec, out: Path, seed: int, fmt: str) -> int:
     mech_a, model_a = spec.mechanism_section(agents[0], model, "agents[0]")
     mech_b, model_b = spec.mechanism_section(agents[1], model, "agents[1]")
     if model is None:
-        if not np.allclose(model_a.mass, model_b.mass, atol=1e-12):
+        if not _same_model(model_a, model_b):
             raise SpecFormatError("the two agents' blueprints generate different models")
         model = model_a
     problem = spec.problem_for(model)

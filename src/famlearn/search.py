@@ -11,9 +11,9 @@ be attained, so nothing here ever claims it.  Instead:
 * :func:`local_search` runs restarted simulated annealing over the full
   stochastic class, reporting the best loss found and an improvement
   trace; its restarts run one after another, each on its own spawned
-  RNG stream (a window of proposals per gamma call, the rest drawn in
-  chunks), with one solve pricing each proposal that moves a row and
-  none elsewhere;
+  RNG stream (the gamma draws of a window of proposals per call, a
+  window ending where a row accepted in it is read again), with one
+  solve pricing each proposal that moves a row and none elsewhere;
 * :func:`epsilon_gap` turns a reference loss (enumeration, a closed
   form, or a bound) into the certified suboptimality of a result.
 
@@ -55,7 +55,8 @@ class SearchConfig:
     faces when a row is already extreme, the walk can approach the
     deterministic corners where optima often sit.  A row on a corner is
     mostly proposed back onto that corner; proposals are drawn a window of
-    steps at a time, and a step whose row does not move costs no solve and
+    steps at a time, a window ending at the first step that reads a row
+    accepted in it, and a step whose row does not move costs no solve and
     no loop iteration.  ``restarts`` independent walks of
     ``iterations`` proposals each run from ``seed``; a restart's walk does
     not depend on how many restarts run.  The temperature starts at
@@ -311,24 +312,24 @@ def local_search(problem: Problem, config: SearchConfig) -> SearchResult:
     many restarts run.  Every ``_CHUNK`` steps a restart draws that chunk's
     row cells and then its acceptance uniforms, and at every step the
     row's gamma draws over its concentrations, divided by their sum (or,
-    when every gamma draw underflows to zero, one ``dirichlet`` call).  The
-    gamma draws of ``_WINDOW`` steps come from one ``standard_gamma`` call,
-    over the concentrations at the window's start; numpy fills the block in
-    C order, so these are the draws of one call per step while the tensor
-    stays unchanged.  When the walk accepts a new row that a later step of
-    the window reads, the generator goes back to the last state it saved,
-    replays its draws up to that later step, saves the state there and
-    draws the rest afresh.  Only the steps whose proposed row differs from
-    the current row are visited, since the same tensor prices to the same
-    loss, and :func:`_fast_loss` prices each visited proposal.  The answer
-    is a pure function of the config; the winner is the lowest loss with
-    ties going to the earlier restart, and the trace numbers restart
-    ``r``'s iteration ``it`` as ``r * (iterations + 1) + it`` and the
-    rounding pass as ``restarts * (iterations + 1)``, so its numbers
-    strictly increase.  A final rounding pass prices the deterministic
-    table nearest the best tensor and keeps it when it does at least as
-    well — optima frequently sit exactly on those corners, which a
-    stochastic walk only approaches.
+    when every gamma draw underflows to zero, one ``dirichlet`` call).  A
+    window of up to ``_WINDOW`` steps, never crossing a chunk's end, takes
+    its gamma draws from one ``standard_gamma`` call over the rows as they
+    stand; numpy fills the block in C order, so these are the draws of one
+    call per step for as long as the steps read unchanged rows.  The window
+    ends at its first step that reads a row accepted in it: the generator
+    goes back to the window's start, replays the draws of the steps before
+    that one, and the next window starts there.  Only the steps whose
+    proposed row differs from the current row are visited, since the same
+    tensor prices to the same loss, and :func:`_fast_loss` prices each
+    visited proposal.  The answer is a pure function of the config; the
+    winner is the lowest loss with ties going to the earlier restart, and
+    the trace numbers restart ``r``'s iteration ``it`` as
+    ``r * (iterations + 1) + it`` and the rounding pass as
+    ``restarts * (iterations + 1)``, so its numbers strictly increase.  A
+    final rounding pass prices the deterministic table nearest the best
+    tensor and keeps it when it does at least as well — optima frequently
+    sit exactly on those corners, which a stochastic walk only approaches.
     """
     m, n, k = config.m_size, problem.n_states, problem.model.alphabet_size
     stakes = problem.stakes
@@ -356,38 +357,17 @@ def local_search(problem: Problem, config: SearchConfig) -> SearchResult:
             uniforms = rng.random(_CHUNK)
             temperatures = np.multiply.accumulate(np.append(temperature, [config.cooling] * size))
             temperature = temperatures[-1]
-            for lo in range(0, size, _WINDOW):
+            lo = 0
+            while lo < size:
                 window = cells[lo : lo + _WINDOW]
-                width = window.size
-                old = rows[window]
-                alpha = old / step_scale + _ALPHA_FLOOR
+                alpha = rows[window] / step_scale + _ALPHA_FLOOR
                 state = rng.bit_generator.state
                 drawn = _draw_rows(rng, state, alpha)
-                moved = (drawn != old).any(axis=1)
-                saved_at = 0  # the step `state` precedes
-                stale = width  # first step drawn from an old row
-                t = 0  # first step not yet visited
-                while True:
-                    ahead = moved[t:].nonzero()[0]
-                    until = t + int(ahead[0]) if ahead.size else width - 1
-                    if stale <= until:
-                        # The walk reached a step drawn from a row accepted
-                        # since, and nothing before it can change any more:
-                        # replay the draws up to it, save the state there
-                        # and draw the rest afresh.
-                        rng.bit_generator.state = state
-                        _draw_rows(rng, state, alpha[saved_at:stale])
-                        state, saved_at = rng.bit_generator.state, stale
-                        now = rows[window[stale:]]
-                        alpha[stale:] = now / step_scale + _ALPHA_FLOOR
-                        drawn[stale:] = _draw_rows(rng, state, alpha[stale:])
-                        moved[stale:] = (drawn[stale:] != now).any(axis=1)
-                        stale = width
-                        continue
-                    if not ahead.size:
+                stale = window.size  # first later step reading a row accepted here
+                for step in (drawn != rows[window]).any(axis=1).nonzero()[0].tolist():
+                    if step >= stale:
                         break
-                    step, t = until, until + 1  # the next step whose row moves
-                    cell = window[step]
+                    t, cell = step + 1, window[step]
                     proposal = current.copy()
                     proposal.reshape(-1, m)[cell] = drawn[step]
                     proposal_loss = _fast_loss(problem, proposal, stakes, eye, unit)
@@ -404,9 +384,15 @@ def local_search(problem: Problem, config: SearchConfig) -> SearchResult:
                     if current_loss < best_loss:
                         best_transition, best_loss = current.copy(), current_loss
                         trace.append((first + start + lo + t, best_loss))
-                    reread = (window[t:] == cell).nonzero()[0]
+                    reread = (window[t:stale] == cell).nonzero()[0]
                     if reread.size:
-                        stale = min(stale, t + int(reread[0]))
+                        stale = t + int(reread[0])
+                if stale < window.size:
+                    # The window ends where a row accepted in it is read again:
+                    # advance the generator past the draws of the steps before.
+                    rng.bit_generator.state = state
+                    _draw_rows(rng, state, alpha[:stale])
+                lo += stale
 
     result = _exact_result(problem, best_transition, trace=trace)
     corners = np.zeros_like(best_transition)

@@ -935,6 +935,25 @@ def test_sweep_reads_an_integral_float_as_an_integer(tmp_path):
     assert rows[1].split(",")[0] == "2"
 
 
+@pytest.mark.parametrize(
+    ("blueprint", "axis"),
+    [
+        ({"family": "star", "params": {"lam": 2, "delta": 5.0}}, {"gamma": [0.0, 0.3]}),
+        ({"family": "line", "params": {"m_size": 4}}, {"lam": [1, 2]}),
+    ],
+    ids=["star-gamma", "line-lam"],
+)
+def test_sweep_refuses_an_axis_its_family_does_not_take(tmp_path, capsys, blueprint, axis):
+    """A star has no gamma and a line no lam: a sweep along one used to
+    write the same row at every point."""
+    spec = {"problem": {"model": BINARY_JSON}, "mechanism": {"blueprint": blueprint}}
+    assert run("sweep", write_spec(tmp_path, {**spec, "sweep": axis}), tmp_path) == 2
+    name = next(iter(axis))
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: mechanism.blueprint.params has an unknown key '{name}'"), err
+    assert not (tmp_path / "sweep.csv").exists()
+
+
 # --- disagree ---------------------------------------------------------------
 
 
@@ -996,6 +1015,16 @@ def test_disagree_identical_agents(tmp_path):
     assert run("disagree", spec, tmp_path) == 0
     payload = json.loads((tmp_path / "disagree.json").read_text())
     np.testing.assert_allclose(payload["per_state"], 0.0, atol=1e-12)
+
+
+def test_disagree_refuses_two_generated_models_of_different_sizes(tmp_path, capsys):
+    agents = [
+        {"blueprint": {"family": "symmetric_full", "params": {"n": n, "info": 3.0, "delta": 0.5}}}
+        for n in (4, 6)
+    ]
+    assert run("disagree", write_spec(tmp_path, {"agents": agents}), tmp_path) == 2
+    assert "the two agents' blueprints generate different models" in capsys.readouterr().err
+    assert not (tmp_path / "disagree.json").exists()
 
 
 def test_disagree_needs_two_agents(tmp_path):

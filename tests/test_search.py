@@ -601,9 +601,9 @@ def test_trace_iterations_strictly_increase_across_restarts():
     assert iterations[-1] <= config.restarts * (config.iterations + 1)
 
 
-def test_a_step_that_moves_nothing_makes_no_generator_call(monkeypatch):
-    """At m = 1 no row ever moves, so each restart makes one standard_gamma
-    call per window of steps, not one per step."""
+def count_gamma_calls(monkeypatch) -> list:
+    """A list that gains an entry at each ``standard_gamma`` call of a
+    generator made by ``np.random.default_rng`` from now on."""
     calls = []
 
     class Counted:
@@ -619,9 +619,32 @@ def test_a_step_that_moves_nothing_makes_no_generator_call(monkeypatch):
 
     default_rng = np.random.default_rng
     monkeypatch.setattr(np.random, "default_rng", lambda seed: Counted(default_rng(seed)))
+    return calls
+
+
+def test_a_step_that_moves_nothing_makes_no_generator_call(monkeypatch):
+    """At m = 1 no row ever moves, so each restart makes one standard_gamma
+    call per window of steps, not one per step."""
+    calls = count_gamma_calls(monkeypatch)
     config = SearchConfig(m_size=1, restarts=4, iterations=1_000, seed=11)
     assert local_search(uniform_problem(BINARY), config).loss == pytest.approx(0.5)
     assert 0 < len(calls) <= config.restarts * math.ceil(config.iterations / search._WINDOW)
+
+
+def test_back_to_back_windows_that_end_early_match_the_sequential_oracle(monkeypatch):
+    """At a temperature of 1e300 every proposal is accepted, and at a step of
+    0.01 every proposed row moves, so with 4 cells most windows end within
+    a few steps, where an accepted row is read again: each such window
+    makes a second standard_gamma call to replay the draws before its end."""
+    prob = uniform_problem(BINARY)
+    config = SearchConfig(
+        m_size=2, restarts=1, iterations=300, step_scale=0.01, initial_temperature=1e300, seed=0
+    )
+    reference = oracles.sequential_anneal(prob, config)
+    calls = count_gamma_calls(monkeypatch)
+    assert_same_search(local_search(prob, config), reference)
+    # Windows that never ended early would take ceil(300 / 32) = 10 calls.
+    assert len(calls) > config.iterations // 2
 
 
 def test_restarts_walk_the_same_whatever_runs_beside_them():
